@@ -34,13 +34,10 @@ int main() {
     core::DeviceProfile device = core::nokia1();
     device.scheduler.cores.assign(static_cast<std::size_t>(variant.cores),
                                   sched::CoreConfig{variant.freq});
-    core::VideoRunSpec spec;
-    spec.device = device;
-    spec.height = 720;
-    spec.fps = 60;
-    spec.pressure = mem::PressureLevel::Moderate;
-    spec.asset = video::dubai_flow_motion(duration);
-    const auto aggregate = core::run_video_repeated(spec, runs);
+    scenario::ScenarioSpec spec =
+        scenario::single_video("", 720, 60, duration, mem::PressureLevel::Moderate, 1);
+    spec.device_override = device;
+    const auto aggregate = runner::run_scenario_batch(spec, runs, 1).aggregate;
     const auto drop = aggregate.drop_rate();
     std::printf("%-28s  %6.1f±%-5.1f%%  %9.0f%%\n", variant.name, 100.0 * drop.mean,
                 100.0 * drop.ci95, aggregate.crash_rate_percent());

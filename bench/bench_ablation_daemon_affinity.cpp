@@ -23,32 +23,26 @@ struct AblationResult {
 
 AblationResult run(bool pin_daemons, std::uint64_t seed, int duration) {
   using namespace mvqoe;
-  core::VideoRunSpec spec;
-  spec.device = core::nokia1();
-  spec.height = 720;
-  spec.fps = 60;
-  spec.pressure = mem::PressureLevel::Moderate;
-  spec.asset = video::dubai_flow_motion(duration);
-  spec.seed = seed;
-
-  core::VideoExperiment experiment(spec);
+  // Nokia 1 / Firefox, 720p60 under Moderate.
+  scenario::ScenarioDriver driver(
+      scenario::single_video("fig16", 720, 60, duration, mem::PressureLevel::Moderate, seed));
   if (pin_daemons) {
-    auto& tb = experiment.testbed();
+    auto& tb = driver.testbed();
     constexpr sched::AffinityMask kDaemonCore = 0b0001;
     tb.scheduler.set_affinity(tb.memory.kswapd_tid(), kDaemonCore);
     tb.scheduler.set_affinity(tb.memory.lmkd_tid(), kDaemonCore);
     tb.scheduler.set_affinity(tb.storage.mmcqd_tid(), kDaemonCore);
   }
-  const auto outcome = experiment.run();
+  const qoe::RunOutcome outcome = driver.run().sessions.at(0).result.outcome;
 
   AblationResult result;
-  result.drop_rate = outcome.outcome.drop_rate;
-  result.crashed = outcome.outcome.crashed;
-  const auto& scheduler = experiment.testbed().scheduler;
-  const auto kswapd = experiment.testbed().memory.kswapd_tid();
+  result.drop_rate = outcome.drop_rate;
+  result.crashed = outcome.crashed;
+  const auto& scheduler = driver.testbed().scheduler;
+  const auto kswapd = driver.testbed().memory.kswapd_tid();
   result.kswapd_migrations = scheduler.counters(kswapd).migrations;
   result.kswapd_switches = scheduler.counters(kswapd).context_switches;
-  std::vector<trace::ThreadId> tids = experiment.session().client_thread_ids();
+  std::vector<trace::ThreadId> tids = driver.video().session()->client_thread_ids();
   for (const auto tid : tids) {
     if (scheduler.exists(tid)) {
       result.client_preemptions += scheduler.counters(tid).preemptions_suffered;

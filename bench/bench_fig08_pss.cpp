@@ -19,12 +19,10 @@ int main() {
     double row[2] = {0, 0};
     std::string cells[2];
     for (int f = 0; f < 2; ++f) {
-      core::VideoRunSpec spec;
-      spec.device = core::nexus5();
-      spec.height = heights[i];
-      spec.fps = f == 0 ? 30 : 60;
-      spec.asset = video::dubai_flow_motion(duration);
-      const auto agg = core::run_video_repeated(spec, runs);
+      // fig11 = Nexus 5 / Firefox.
+      const auto spec = scenario::single_video("fig11", heights[i], f == 0 ? 30 : 60, duration,
+                                               mem::PressureLevel::Normal, 1);
+      const auto agg = runner::run_scenario_batch(spec, runs, 1).aggregate;
       row[f] = agg.peak_pss_mb().mean;
       char buffer[96];
       std::snprintf(buffer, sizeof buffer, "%7.1f MB [%6.1f..%6.1f]", agg.peak_pss_mb().mean,

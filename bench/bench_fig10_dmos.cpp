@@ -16,13 +16,10 @@ int main() {
   const int duration = bench::video_duration_s();
 
   auto measure = [&](mem::PressureLevel state) {
-    core::VideoRunSpec spec;
-    spec.device = core::nokia1();
-    spec.height = 240;
-    spec.fps = 60;
-    spec.pressure = state;
-    spec.asset = video::dubai_flow_motion(duration);
-    return core::run_video_repeated(spec, bench::runs_per_cell(3)).drop_rate().mean;
+    // fig16 = Nokia 1 / Firefox.
+    const auto spec = scenario::single_video("fig16", 240, 60, duration, state, 1);
+    const auto batch = runner::run_scenario_batch(spec, bench::runs_per_cell(3), 1);
+    return batch.aggregate.drop_rate().mean;
   };
   const double normal_drops = measure(mem::PressureLevel::Normal);
   const double moderate_drops = measure(mem::PressureLevel::Moderate);

@@ -28,14 +28,12 @@ int main() {
       std::printf("  %-9s", bench::state_name(state));
       for (const int fps : {30, 60}) {
         for (const int height : heights) {
-          core::VideoRunSpec spec;
-          spec.device = core::nexus5();
-          spec.height = height;
-          spec.fps = fps;
-          spec.pressure = state;
-          spec.asset = asset;
-          spec.seed = 77 + height + fps + static_cast<int>(state) * 3;
-          const auto agg = core::run_video_repeated(spec, runs);
+          // Nexus 5 / Firefox playing this genre's asset.
+          scenario::ScenarioSpec spec =
+              scenario::single_video("fig11", height, fps, asset.duration_s, state,
+                                     77 + height + fps + static_cast<int>(state) * 3);
+          scenario::video_spec(spec).asset_override = asset;
+          const auto agg = runner::run_scenario_batch(spec, runs, 1).aggregate;
           std::printf("  %7.1f%%", 100.0 * agg.drop_rate().mean);
           std::fflush(stdout);
         }

@@ -12,17 +12,13 @@ int main() {
   const int duration = bench::video_duration_s();
 
   auto run_once = [&](mem::PressureLevel state) {
-    core::VideoRunSpec spec;
-    spec.device = core::nokia1();
-    spec.height = 720;  // our model expresses the paper's 480p60-Moderate degradation
-                      // one rung higher; same mechanisms, documented in EXPERIMENTS.md
-    spec.fps = 60;
-    spec.pressure = state;
-    spec.asset = video::dubai_flow_motion(duration);
-    spec.seed = 11;
-    auto experiment = std::make_unique<core::VideoExperiment>(spec);
-    experiment->run();
-    return experiment;
+    // Nokia 1 / Firefox at 720p60: our model expresses the paper's
+    // 480p60-Moderate degradation one rung higher; same mechanisms,
+    // documented in EXPERIMENTS.md.
+    auto driver = std::make_unique<scenario::ScenarioDriver>(
+        scenario::single_video("fig16", 720, 60, duration, state, 11));
+    driver->run();
+    return driver;
   };
 
   const mem::PressureLevel states[] = {mem::PressureLevel::Normal, mem::PressureLevel::Moderate};
@@ -30,11 +26,10 @@ int main() {
   double sleeping_pct[2] = {0, 0};
   std::size_t kswapd_rank[2] = {0, 0};
   for (int i = 0; i < 2; ++i) {
-    const auto experiment = run_once(states[i]);
-    const auto& tracer = experiment->testbed().tracer;
-    const auto kswapd_tid = experiment->testbed().memory.kswapd_tid();
-    const auto fractions =
-        trace::state_fractions(tracer, kswapd_tid, experiment->playback_start());
+    const auto driver = run_once(states[i]);
+    const auto& tracer = driver->testbed().tracer;
+    const auto kswapd_tid = driver->testbed().memory.kswapd_tid();
+    const auto fractions = trace::state_fractions(tracer, kswapd_tid, driver->playback_start());
 
     bench::section(std::string(bench::state_name(states[i])) + " - kswapd state shares");
     for (const auto& [name, fraction] : fractions) {
@@ -45,9 +40,9 @@ int main() {
     const auto sleeping = fractions.find("Sleeping");
     running_pct[i] = running != fractions.end() ? 100.0 * running->second : 0.0;
     sleeping_pct[i] = sleeping != fractions.end() ? 100.0 * sleeping->second : 0.0;
-    kswapd_rank[i] = trace::running_rank(tracer, "kswapd0", experiment->playback_start());
+    kswapd_rank[i] = trace::running_rank(tracer, "kswapd0", driver->playback_start());
 
-    const auto top = trace::top_running_threads(tracer, experiment->playback_start());
+    const auto top = trace::top_running_threads(tracer, driver->playback_start());
     std::printf("  top running threads:\n");
     for (std::size_t t = 0; t < std::min<std::size_t>(6, top.size()); ++t) {
       std::printf("    #%zu %-28s %6.2fs\n", top[t].rank, top[t].name.c_str(),

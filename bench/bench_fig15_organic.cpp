@@ -18,21 +18,17 @@ struct OrganicRun {
 
 OrganicRun run(int background_apps, std::uint64_t seed, int duration) {
   using namespace mvqoe;
-  core::VideoRunSpec spec;
-  spec.device = core::nokia1();
-  spec.height = 480;
-  spec.fps = 60;
+  // Nokia 1 / Firefox; the Normal state is ignored when organic.
+  scenario::ScenarioSpec spec =
+      scenario::single_video("fig16", 480, 60, duration, mem::PressureLevel::Normal, seed);
   spec.organic_background_apps = background_apps;
-  spec.pressure = mem::PressureLevel::Normal;  // ignored when organic
-  spec.asset = video::dubai_flow_motion(duration);
-  spec.seed = seed;
-  core::VideoExperiment experiment(spec);
-  const auto result = experiment.run();
+  scenario::ScenarioDriver driver(spec);
+  const core::VideoRunResult result = driver.run().sessions.at(0).result;
   OrganicRun out;
   out.drop_rate = result.outcome.drop_rate;
   out.crashed = result.outcome.crashed;
   out.fps_series = result.metrics.presented_per_second;
-  out.kills_cumulative = trace::cumulative_instants(experiment.testbed().tracer,
+  out.kills_cumulative = trace::cumulative_instants(driver.testbed().tracer,
                                                     trace::InstantKind::ProcessKilled);
   out.playback_start_s =
       static_cast<std::size_t>(result.metrics.playback_start / sim::sec(1));

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
   const auto batch = runner::run_batch(heights.size(), jobs, [&](std::size_t i) {
     // Declarative scenario (DESIGN.md §11): one Nokia 1 world with one
-    // video session; the legacy VideoRunSpec tuple maps onto it 1:1.
+    // video session.
     scenario::ScenarioSpec spec;
     spec.family.clear();
     spec.device_override = core::nokia1();

@@ -11,15 +11,12 @@ namespace {
 mvqoe::core::VideoRunResult run_with(mvqoe::video::AbrPolicy* abr, int duration,
                                      std::uint64_t seed) {
   using namespace mvqoe;
-  core::VideoRunSpec spec;
-  spec.device = core::nokia1();
-  spec.height = 480;
-  spec.fps = 60;
+  // Nokia 1 / Firefox, 480p60.
+  scenario::ScenarioSpec spec =
+      scenario::single_video("fig16", 480, 60, duration, mem::PressureLevel::Normal, seed);
   spec.organic_background_apps = 8;  // paper: pressure introduced organically
-  spec.asset = video::dubai_flow_motion(duration);
-  spec.seed = seed;
-  spec.abr = abr;
-  return core::run_video(spec);
+  scenario::video_spec(spec).abr = abr;
+  return scenario::run_scenario(spec).sessions.at(0).result;
 }
 
 void print_series(const char* label, const mvqoe::core::VideoRunResult& result) {

@@ -3,7 +3,7 @@
 // selection, and an end-to-end per-simulated-second video cost.
 #include <benchmark/benchmark.h>
 
-#include "core/experiment.hpp"
+#include "scenario/driver.hpp"
 #include "stats/rng.hpp"
 #include "study/device_sim.hpp"
 
@@ -91,12 +91,8 @@ BENCHMARK(BM_VictimSelection);
 
 void BM_VideoSecondSimulated(benchmark::State& state) {
   for (auto _ : state) {
-    core::VideoRunSpec spec;
-    spec.device = core::nexus5();
-    spec.height = 480;
-    spec.fps = 30;
-    spec.asset = video::dubai_flow_motion(10);
-    benchmark::DoNotOptimize(core::run_video(spec));
+    benchmark::DoNotOptimize(scenario::run_scenario(
+        scenario::single_video("fig11", 480, 30, 10, mem::PressureLevel::Normal, 1)));
   }
   state.SetLabel("full 10-simulated-second 480p30 session on Nexus 5");
 }

@@ -26,7 +26,7 @@
 
 #include "campaign/policy_campaign.hpp"
 #include "runner/json_writer.hpp"
-#include "runner/video_batch.hpp"
+#include "runner/scenario_batch.hpp"
 #include "snapshot/digest.hpp"
 
 // Sanitizer instrumentation slows the compare ~10x, which says nothing

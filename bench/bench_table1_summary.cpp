@@ -50,11 +50,10 @@ int main(int argc, char** argv) {
 
   bench::section("row 3: entry-level (Nokia 1) high-res drops and crashes under pressure");
   {
-    core::VideoRunSpec proto;
-    proto.device = core::nokia1();
-    proto.asset = video::dubai_flow_motion(duration);
-    const auto cells = runner::run_sweep_grid(proto, {mem::PressureLevel::Moderate}, {30, 60},
-                                              {720, 1080}, runs, jobs, 1);
+    const auto proto = scenario::single_video("table1", 1080, 30, duration,
+                                              mem::PressureLevel::Normal, 1);
+    const auto cells = runner::run_scenario_sweep_grid(proto, {mem::PressureLevel::Moderate},
+                                                       {30, 60}, {720, 1080}, runs, jobs, 1);
     stats::Accumulator drops;
     double crash = 0.0;
     for (const auto& cell : cells) {
@@ -68,10 +67,9 @@ int main(int argc, char** argv) {
 
   bench::section("row 4: Nexus 5 drops up to ~25%");
   {
-    core::VideoRunSpec proto;
-    proto.device = core::nexus5();
-    proto.asset = video::dubai_flow_motion(duration);
-    const auto cells = runner::run_sweep_grid(
+    const auto proto =
+        scenario::single_video("fig11", 1080, 30, duration, mem::PressureLevel::Normal, 1);
+    const auto cells = runner::run_scenario_sweep_grid(
         proto, {mem::PressureLevel::Moderate, mem::PressureLevel::Critical}, {60}, {1080}, runs,
         jobs, 1);
     double worst = 0.0;
@@ -96,19 +94,13 @@ int main(int argc, char** argv) {
         runner::run_batch(std::size_t{2}, jobs, [&](std::size_t i) -> trace::StateTimeTable {
           const auto state =
               i == 0 ? mem::PressureLevel::Normal : mem::PressureLevel::Moderate;
-          core::VideoRunSpec spec;
-          spec.device = core::nokia1();
-          spec.height = 480;
-          spec.fps = 60;
-          spec.pressure = state;
-          spec.asset = video::dubai_flow_motion(duration);
-          spec.seed = 3;
-          core::VideoExperiment experiment(spec);
-          experiment.run();
-          std::vector<trace::ThreadId> tids = experiment.session().client_thread_ids();
-          tids.push_back(experiment.session().surfaceflinger_tid());
-          return trace::state_times(experiment.testbed().tracer, tids,
-                                    experiment.playback_start());
+          scenario::ScenarioDriver driver(
+              scenario::single_video("table1", 480, 60, duration, state, 3));
+          driver.run();
+          const video::VideoSession& session = *driver.video().session();
+          std::vector<trace::ThreadId> tids = session.client_thread_ids();
+          tids.push_back(session.surfaceflinger_tid());
+          return trace::state_times(driver.testbed().tracer, tids, driver.playback_start());
         });
     const auto& normal = batch.runs[0].value;
     const auto& moderate = batch.runs[1].value;
@@ -123,13 +115,10 @@ int main(int argc, char** argv) {
   bench::section("row 7: adaptation opportunity (frame rate under pressure)");
   {
     auto run_fps = [&](int fps) {
-      core::VideoRunSpec spec;
-      spec.device = core::nokia1();
-      spec.height = 480;
-      spec.fps = fps;
+      scenario::ScenarioSpec spec =
+          scenario::single_video("table1", 480, fps, duration, mem::PressureLevel::Normal, 1);
       spec.organic_background_apps = 8;
-      spec.asset = video::dubai_flow_motion(duration);
-      return runner::run_video_batch(spec, runs, jobs).aggregate.drop_rate().mean * 100.0;
+      return runner::run_scenario_batch(spec, runs, jobs).aggregate.drop_rate().mean * 100.0;
     };
     const double at60 = run_fps(60);
     const double at24 = run_fps(24);

@@ -11,19 +11,15 @@ namespace {
 mvqoe::trace::PreemptionStats run_once(mvqoe::mem::PressureLevel state, std::uint64_t seed,
                                        int duration) {
   using namespace mvqoe;
-  core::VideoRunSpec spec;
-  spec.device = core::nokia1();
-  spec.height = 720;  // our model expresses the paper's 480p60-Moderate degradation
-                      // one rung higher; same mechanisms, documented in EXPERIMENTS.md
-  spec.fps = 60;
-  spec.pressure = state;
-  spec.asset = video::dubai_flow_motion(duration);
-  spec.seed = seed;
-  core::VideoExperiment experiment(spec);
-  experiment.run();
-  std::vector<trace::ThreadId> tids = experiment.session().client_thread_ids();
-  tids.push_back(experiment.session().surfaceflinger_tid());
-  return trace::preemption_stats(experiment.testbed().tracer, tids, "mmcqd");
+  // Nokia 1 / Firefox at 720p60: our model expresses the paper's
+  // 480p60-Moderate degradation one rung higher; same mechanisms,
+  // documented in EXPERIMENTS.md.
+  scenario::ScenarioDriver driver(scenario::single_video("fig16", 720, 60, duration, state, seed));
+  driver.run();
+  const video::VideoSession& session = *driver.video().session();
+  std::vector<trace::ThreadId> tids = session.client_thread_ids();
+  tids.push_back(session.surfaceflinger_tid());
+  return trace::preemption_stats(driver.testbed().tracer, tids, "mmcqd");
 }
 
 }  // namespace

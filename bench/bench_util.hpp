@@ -9,9 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "runner/scenario_batch.hpp"
-#include "runner/video_batch.hpp"
 
 namespace mvqoe::bench {
 

@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "runner/video_batch.hpp"
+#include "runner/scenario_batch.hpp"
 
 int main(int argc, char** argv) {
   using namespace mvqoe;
@@ -32,11 +32,13 @@ int main(int argc, char** argv) {
   constexpr int kRunsPerCell = 1;
 
   for (const core::DeviceProfile& device : core::all_devices()) {
-    core::VideoRunSpec proto;
-    proto.device = device;
-    proto.asset = video::dubai_flow_motion(40);
-    const auto cells =
-        runner::run_sweep_grid(proto, states, rates, heights, kRunsPerCell, jobs, kSeed);
+    // Custom-device scenario (no paper family): Firefox, 40 s video; each
+    // grid cell retargets height, fps, state and seed.
+    scenario::ScenarioSpec proto =
+        scenario::single_video("", 1080, 30, 40, mem::PressureLevel::Normal, 1);
+    proto.device_override = device;
+    const auto cells = runner::run_scenario_sweep_grid(proto, states, rates, heights,
+                                                       kRunsPerCell, jobs, kSeed);
 
     std::printf("=== %s (%lld MB RAM, %zu cores)\n", device.name.c_str(),
                 static_cast<long long>(device.ram_mb), device.scheduler.cores.size());

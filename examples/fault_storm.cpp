@@ -9,31 +9,32 @@
 //   t=18 s   8 s thermal-throttle window, every core at 55% speed
 //   t=30 s   targeted kill of the video client; the session relaunches
 //            cold after 2.5 s and resumes at the next segment boundary
+//
+// Exits 1 if the storm run's frames do not add up to the asset's frame
+// count (presented + dropped + lost to the kill).
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/experiment.hpp"
+#include "scenario/driver.hpp"
 
 namespace {
 
-mvqoe::core::VideoRunSpec make_spec(int height, int fps, bool storm) {
+mvqoe::scenario::ScenarioResult run(int height, int fps, bool storm) {
   using namespace mvqoe;
-  core::VideoRunSpec spec;
-  spec.device = core::nexus5();
-  spec.height = height;
-  spec.fps = fps;
-  spec.asset = video::dubai_flow_motion(/*duration_s=*/60);
-  spec.seed = 7;
+  // Family fig11: Nexus 5 playing in Firefox; 60 s video, seed 7.
+  scenario::ScenarioSpec spec = scenario::single_video(
+      "fig11", height, fps, /*duration_s=*/60, mem::PressureLevel::Normal, /*seed=*/7);
   spec.run_watchdog = true;
   if (storm) {
-    spec.fault_plan.link_outages.push_back({sim::sec(8), sim::sec(5)});
-    spec.fault_plan.thermal_windows.push_back({sim::sec(18), sim::sec(8), 0.55});
-    spec.fault_plan.kills.push_back({sim::sec(30), 0});
+    scenario::VideoWorkloadSpec& session = scenario::video_spec(spec);
+    session.fault_plan.link_outages.push_back({sim::sec(8), sim::sec(5)});
+    session.fault_plan.thermal_windows.push_back({sim::sec(18), sim::sec(8), 0.55});
+    session.fault_plan.kills.push_back({sim::sec(30), 0});
     video::RecoveryConfig recovery;
     recovery.relaunch_on_kill = true;
-    spec.recovery = recovery;
+    session.recovery = recovery;
   }
-  return spec;
+  return scenario::run_scenario(spec);
 }
 
 void print_run(const char* label, const mvqoe::core::VideoRunResult& r) {
@@ -57,25 +58,27 @@ int main(int argc, char** argv) {
   std::printf("fault storm vs clean run: Nexus 5, %dp%d, 60 s\n", height, fps);
   std::printf("storm: outage 8-13 s, thermal 18-26 s @ 0.55x, kill at 30 s (relaunch on)\n\n");
 
-  const core::VideoRunResult clean = core::run_video(make_spec(height, fps, false));
-  const core::VideoRunResult storm = core::run_video(make_spec(height, fps, true));
+  const core::VideoRunResult clean = run(height, fps, false).sessions.at(0).result;
+  const scenario::ScenarioResult storm_run = run(height, fps, true);
+  const core::VideoRunResult& storm = storm_run.sessions.at(0).result;
 
   print_run("clean:", clean);
   print_run("storm:", storm);
 
   const std::int64_t total = storm.metrics.frames_presented + storm.metrics.frames_dropped +
                              storm.metrics.frames_lost_to_kill;
+  const int asset_frames = 60 * fps;
   std::printf("\nframe identity (storm): %lld presented + %lld dropped + %lld lost = %lld"
               " (asset: %d)\n",
               static_cast<long long>(storm.metrics.frames_presented),
               static_cast<long long>(storm.metrics.frames_dropped),
               static_cast<long long>(storm.metrics.frames_lost_to_kill),
-              static_cast<long long>(total), 60 * fps);
+              static_cast<long long>(total), asset_frames);
   std::printf("QoE delta: drop rate %+.1f pp, %d kill(s) absorbed, %.2f s of downtime,\n"
               "           %d watchdog violation(s)\n",
               100.0 * (storm.outcome.drop_rate - clean.outcome.drop_rate),
               storm.metrics.relaunches, storm.outcome.relaunch_downtime_s,
-              static_cast<int>(storm.watchdog_violations.size()));
+              static_cast<int>(storm_run.watchdog_violations.size()));
 
   std::printf("\nper-second rendered FPS through the storm:\n");
   const auto& series = storm.metrics.presented_per_second;
@@ -86,5 +89,5 @@ int main(int argc, char** argv) {
     else if (second >= 30 && second < 36) marker = "  <- kill/relaunch window";
     std::printf("  t=%3zus  %3d fps%s\n", second, series[second], marker);
   }
-  return 0;
+  return total == asset_frames ? 0 : 1;
 }

@@ -7,25 +7,18 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/experiment.hpp"
+#include "scenario/driver.hpp"
 #include "trace/analysis.hpp"
 
 int main(int argc, char** argv) {
   using namespace mvqoe;
   const auto pressure = static_cast<mem::PressureLevel>(argc > 1 ? std::atoi(argv[1]) : 1);
 
-  core::VideoRunSpec spec;
-  spec.device = core::nokia1();
-  spec.height = 480;
-  spec.fps = 60;
-  spec.pressure = pressure;
-  spec.asset = video::dubai_flow_motion(60);
-  spec.seed = 3;
-
-  core::VideoExperiment experiment(spec);
-  const auto result = experiment.run();
-  const auto& tracer = experiment.testbed().tracer;
-  const sim::Time begin = experiment.playback_start();
+  // Family fig16: Nokia 1 playing in Firefox; 60 s video, seed 3.
+  scenario::ScenarioDriver driver(scenario::single_video("fig16", 480, 60, 60, pressure, 3));
+  const core::VideoRunResult result = driver.run().sessions.at(0).result;
+  const auto& tracer = driver.testbed().tracer;
+  const sim::Time begin = driver.playback_start();
 
   std::printf("session: Nokia 1, 480p60, %s -> drops %.1f%%, crashed=%s\n\n",
               mem::to_string(pressure), 100.0 * result.outcome.drop_rate,
@@ -38,8 +31,9 @@ int main(int argc, char** argv) {
                 top[i].running_seconds, top[i].process_name.c_str());
   }
 
-  std::vector<trace::ThreadId> video_threads = experiment.session().client_thread_ids();
-  video_threads.push_back(experiment.session().surfaceflinger_tid());
+  const video::VideoSession& session = *driver.video().session();
+  std::vector<trace::ThreadId> video_threads = session.client_thread_ids();
+  video_threads.push_back(session.surfaceflinger_tid());
   const auto states = trace::state_times(tracer, video_threads, begin);
   std::printf("\nvideo client thread states (summed over player, MediaCodec, SurfaceFlinger):\n");
   std::printf("  Running              %7.2fs\n", states.running);
@@ -52,13 +46,13 @@ int main(int argc, char** argv) {
               preemptions.count, preemptions.victim_wait_seconds);
 
   const auto kswapd = trace::state_fractions(
-      tracer, experiment.testbed().memory.kswapd_tid(), begin);
+      tracer, driver.testbed().memory.kswapd_tid(), begin);
   std::printf("\nkswapd state shares:\n");
   for (const auto& [name, fraction] : kswapd) {
     std::printf("  %-22s %5.1f%%\n", name.c_str(), 100.0 * fraction);
   }
 
-  const auto& vm = experiment.testbed().memory.vmstat();
+  const auto& vm = driver.testbed().memory.vmstat();
   std::printf("\nvmstat: pswpin=%llu pswpout=%llu pgpgin=%llu kills=%llu direct_reclaims=%llu\n",
               static_cast<unsigned long long>(vm.pswpin),
               static_cast<unsigned long long>(vm.pswpout),

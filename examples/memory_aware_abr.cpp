@@ -8,22 +8,21 @@
 #include <cstdio>
 #include <memory>
 
+#include "scenario/driver.hpp"
 #include "video/abr_policy.hpp"
-#include "core/experiment.hpp"
 
 namespace {
 
 mvqoe::core::VideoRunResult run_policy(mvqoe::video::AbrPolicy* policy, std::uint64_t seed) {
   using namespace mvqoe;
-  core::VideoRunSpec spec;
-  spec.device = core::nokia1();
-  spec.height = 720;   // the network-only policies will happily pick this...
-  spec.fps = 60;       // ...at 60 FPS, which the pressured device cannot render
+  // Family fig16: Nokia 1 playing in Firefox. The network-only policies
+  // will happily pick 720p at 60 FPS, which the pressured device cannot
+  // render.
+  scenario::ScenarioSpec spec =
+      scenario::single_video("fig16", 720, 60, 60, mem::PressureLevel::Normal, seed);
   spec.organic_background_apps = 8;
-  spec.asset = video::dubai_flow_motion(60);
-  spec.seed = seed;
-  spec.abr = policy;
-  return core::run_video(spec);
+  scenario::video_spec(spec).abr = policy;
+  return scenario::run_scenario(spec).sessions.at(0).result;
 }
 
 void report(const char* name, const mvqoe::core::VideoRunResult& result) {

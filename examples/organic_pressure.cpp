@@ -6,30 +6,26 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/experiment.hpp"
+#include "scenario/driver.hpp"
 #include "trace/analysis.hpp"
 
 int main(int argc, char** argv) {
   using namespace mvqoe;
   const int apps = argc > 1 ? std::atoi(argv[1]) : 8;
 
-  core::VideoRunSpec spec;
-  spec.device = core::nokia1();
-  spec.height = 480;
-  spec.fps = 60;
+  // Family fig16: Nokia 1 playing in Firefox; 60 s video, seed 5.
+  scenario::ScenarioSpec spec =
+      scenario::single_video("fig16", 480, 60, 60, mem::PressureLevel::Normal, 5);
   spec.organic_background_apps = apps;
-  spec.asset = video::dubai_flow_motion(60);
-  spec.seed = 5;
-
-  core::VideoExperiment experiment(spec);
-  const auto result = experiment.run();
+  scenario::ScenarioDriver driver(spec);
+  const core::VideoRunResult result = driver.run().sessions.at(0).result;
 
   std::printf("Nokia 1, 480p60 with %d background apps:\n", apps);
   std::printf("  pressure at playback start : %s\n", mem::to_string(result.start_level));
   std::printf("  frame drop rate            : %.1f%%\n", 100.0 * result.outcome.drop_rate);
   std::printf("  crashed                    : %s\n", result.outcome.crashed ? "yes" : "no");
 
-  const auto kills = trace::cumulative_instants(experiment.testbed().tracer,
+  const auto kills = trace::cumulative_instants(driver.testbed().tracer,
                                                 trace::InstantKind::ProcessKilled);
   std::printf("  processes killed (total)   : %zu\n", kills.empty() ? 0 : kills.back());
 

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "qoe/metrics.hpp"
-#include "runner/video_batch.hpp"
+#include "runner/scenario_batch.hpp"
 #include "scenario/spec.hpp"
 #include "snapshot/bytes.hpp"
 
@@ -67,11 +67,11 @@ std::vector<CellRunOutcome> run_warm_group(const scenario::ScenarioSpec& proto,
                                            const std::vector<int>& heights,
                                            std::uint64_t base_seed, int workers);
 
-/// Shared-world sweep grid. Layout and reduction match run_sweep_grid
-/// (cells in state-major grid order, runs per cell in run order); only
-/// the seed scheme differs — cell_seed reports the run-0 video seed.
-/// `proto` is a ScenarioSpec whose first video workload each cell
-/// retargets (legacy callers build it with scenario::from_run_spec).
+/// Shared-world sweep grid. Layout and reduction match
+/// run_scenario_sweep_grid (cells in state-major grid order, runs per
+/// cell in run order); only the seed scheme differs — cell_seed reports
+/// the run-0 video seed. `proto` is a ScenarioSpec whose first video
+/// workload each cell retargets.
 std::vector<SweepCellResult> run_sweep_grid_shared(
     const scenario::ScenarioSpec& proto, const std::vector<mem::PressureLevel>& states,
     const std::vector<int>& fps, const std::vector<int>& heights, int runs, int jobs,

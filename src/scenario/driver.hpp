@@ -1,14 +1,14 @@
 // Scenario execution driver (DESIGN.md §11).
 //
-// Generalizes the legacy VideoExperiment's phased prepare/start/advance/
-// finalize API to N workloads on one Testbed: every workload attaches
-// during the world phase (pressure regimes block until established),
-// every session starts at the same instant, and one 1-second slice
-// cadence advances them all — so concurrent video sessions contend for
-// the same pages, CPU and link inside a single simulated device.
+// Runs N workloads on one Testbed through a phased prepare/start/
+// advance/finalize API: every workload attaches during the world phase
+// (pressure regimes block until established), every session starts at
+// the same instant, and one 1-second slice cadence advances them all —
+// so concurrent video sessions contend for the same pages, CPU and link
+// inside a single simulated device. After run() the testbed (tracer,
+// scheduler, memory) stays open for the §5 trace analyses.
 //
-// For a single-video scenario the event sequence is byte-identical with
-// the legacy experiment (the golden-blob replay test proves it); the
+// The event sequence is pinned by the golden-blob replay test; the
 // snapshot surface walks the Testbed's component registry instead of a
 // hand-maintained subsystem list.
 #pragma once
@@ -62,11 +62,10 @@ class ScenarioDriver {
   /// Phase 2: arm faults/watchdog and start every session at one
   /// simulated instant. Playback deadlines begin here.
   void start();
-  /// Phase 3: advance all workloads by one 1-second slice (the exact
-  /// cadence the legacy run() used — slice boundaries are observable
-  /// through the horizon check, so replay must reproduce them). Returns
-  /// false when every session finished or the horizon passed, without
-  /// advancing.
+  /// Phase 3: advance all workloads by one 1-second slice (slice
+  /// boundaries are observable through the horizon check, so replay
+  /// must reproduce them). Returns false when every session finished or
+  /// the horizon passed, without advancing.
   bool advance_slice();
   bool done() const noexcept;
   /// Phase 4: disarm faults, finalize the trace and assemble per-session

@@ -70,30 +70,6 @@ ScenarioSpec single_video(std::string family, int height, int fps, int duration_
   return scen;
 }
 
-ScenarioSpec from_run_spec(const core::VideoRunSpec& spec) {
-  ScenarioSpec scen;
-  scen.family.clear();
-  scen.device_override = spec.device;
-  scen.state = spec.pressure;
-  scen.organic_background_apps = spec.organic_background_apps;
-  scen.seed = spec.seed;
-  scen.world_seed = spec.world_seed;
-  scen.run_watchdog = spec.run_watchdog;
-  VideoWorkloadSpec video;
-  video.height = spec.height;
-  video.fps = spec.fps;
-  video.duration_s = spec.asset.duration_s;
-  video.platform = spec.platform;
-  video.seed = spec.seed;
-  video.fault_plan = spec.fault_plan;
-  video.asset_override = spec.asset;
-  video.abr = spec.abr;
-  video.session_override = spec.session_override;
-  video.recovery = spec.recovery;
-  scen.workloads.emplace_back(std::move(video));
-  return scen;
-}
-
 VideoWorkloadSpec& video_spec(ScenarioSpec& scen, std::size_t index) {
   std::size_t seen = 0;
   for (WorkloadSpec& workload : scen.workloads) {

@@ -7,11 +7,10 @@
 // sweep, tools/mvqoe_replay and the MVQS blob all consume this one type
 // instead of re-assembling (family, cell, state, seed) tuples by hand.
 //
-// The legacy single-video surface maps onto it exactly: a VideoRunSpec
-// is a ScenarioSpec with one VideoWorkloadSpec (from_run_spec), and the
-// old record/replay tuple is single_video(). Multi-session scenarios —
-// two players contending, player + memory hog — are just longer
-// workload lists on the same driver.
+// A single video run is a ScenarioSpec with one VideoWorkloadSpec
+// (single_video() builds the common family form). Multi-session
+// scenarios — two players contending, player + memory hog — are just
+// longer workload lists on the same driver.
 #pragma once
 
 #include <optional>
@@ -19,10 +18,12 @@
 #include <variant>
 #include <vector>
 
-#include "core/run_spec.hpp"
+#include "core/device.hpp"
+#include "fault/fault_injector.hpp"
 #include "mem/policy.hpp"
 #include "net/cc.hpp"
 #include "snapshot/bytes.hpp"
+#include "video/session.hpp"
 
 namespace mvqoe::scenario {
 
@@ -98,8 +99,8 @@ struct ScenarioSpec {
   /// organic_background_apps > 0 — organic background-app churn.
   mem::PressureLevel state = mem::PressureLevel::Normal;
   int organic_background_apps = 0;
-  /// World stream seed (boot + pressure). Also the default video stream
-  /// for single_video()/from_run_spec scenarios.
+  /// World stream seed (boot + pressure). Also the video stream of
+  /// single_video() scenarios.
   std::uint64_t seed = 1;
   /// Override the world stream when it must differ from `seed` (the
   /// warm-start sweep's shared-world groups).
@@ -125,15 +126,11 @@ const std::vector<std::string>& scenario_families();
 core::DeviceProfile device_for(const ScenarioSpec& scen);
 video::PlayerPlatform platform_for(const ScenarioSpec& scen, const VideoWorkloadSpec& video);
 
-/// The legacy record/replay tuple: one video session whose stream
-/// follows the scenario seed.
+/// One video session whose stream follows the scenario seed, on a paper
+/// family's device and player (the record/replay tuple).
 ScenarioSpec single_video(std::string family, int height, int fps, int duration_s,
                           mem::PressureLevel state, std::uint64_t seed,
                           fault::FaultPlan fault_plan = {});
-
-/// Translate the legacy single-video spec; core::VideoExperiment is a
-/// thin adapter over the scenario driver via this mapping.
-ScenarioSpec from_run_spec(const core::VideoRunSpec& spec);
 
 /// The i-th video workload (throws if out of range) — convenience for
 /// retargeting cells and asserting on loaded specs.

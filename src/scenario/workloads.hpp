@@ -1,7 +1,7 @@
 // First-party Workload implementations (DESIGN.md §11): the video
-// session, the organic background-app cohort and the synthetic pressure
-// inducer — the three actors the legacy VideoExperiment hard-wired, now
-// composable in any number per scenario.
+// session, the organic background-app cohort, the synthetic pressure
+// inducer and competing cross traffic — composable in any number per
+// scenario.
 #pragma once
 
 #include <functional>
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "core/pressure_inducer.hpp"
-#include "core/run_spec.hpp"
+#include "core/run_result.hpp"
 #include "core/testbed.hpp"
 #include "core/workload.hpp"
 #include "scenario/spec.hpp"

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
+#include "scenario/driver.hpp"
 #include "snapshot/blob.hpp"
 #include "snapshot/replay/driver.hpp"
 #include "snapshot/replay/scenario.hpp"

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
+#include "runner/scenario_batch.hpp"
+#include "scenario/driver.hpp"
 
 namespace mvqoe::core {
 namespace {
@@ -117,13 +118,15 @@ TEST(PressureInducerTest, StopReleasesMemory) {
   EXPECT_LT(tb.memory.anon_pages(), anon_before);
 }
 
+/// One single-video scenario run; families fig11 (Nexus 5) and fig16
+/// (Nokia 1) both play in Firefox.
+VideoRunResult run_single(const scenario::ScenarioSpec& spec) {
+  return scenario::run_scenario(spec).sessions.at(0).result;
+}
+
 TEST(Experiment, CleanRunOnNexus5At480p30) {
-  VideoRunSpec spec;
-  spec.device = nexus5();
-  spec.height = 480;
-  spec.fps = 30;
-  spec.asset = video::dubai_flow_motion(16);
-  const auto result = run_video(spec);
+  const auto result =
+      run_single(scenario::single_video("fig11", 480, 30, 16, PressureLevel::Normal, 1));
   EXPECT_FALSE(result.outcome.crashed);
   EXPECT_LT(result.outcome.drop_rate, 0.05);
   EXPECT_EQ(result.start_level, PressureLevel::Normal);
@@ -131,41 +134,29 @@ TEST(Experiment, CleanRunOnNexus5At480p30) {
 }
 
 TEST(Experiment, RepeatedRunsAggregate) {
-  VideoRunSpec spec;
-  spec.device = nexus5();
-  spec.height = 360;
-  spec.fps = 30;
-  spec.asset = video::dubai_flow_motion(12);
-  const auto aggregate = run_video_repeated(spec, 3);
+  const auto spec = scenario::single_video("fig11", 360, 30, 12, PressureLevel::Normal, 1);
+  const auto aggregate = runner::run_scenario_batch(spec, 3, 1).aggregate;
   EXPECT_EQ(aggregate.runs(), 3u);
   EXPECT_LT(aggregate.drop_rate().mean, 0.05);
   EXPECT_DOUBLE_EQ(aggregate.crash_rate_percent(), 0.0);
 }
 
 TEST(Experiment, ModeratePressureDegradesNokia1) {
-  VideoRunSpec spec;
-  spec.device = nokia1();
-  spec.height = 720;
-  spec.fps = 60;
-  spec.asset = video::dubai_flow_motion(20);
-
-  spec.pressure = PressureLevel::Normal;
-  const auto normal = run_video(spec);
-  spec.pressure = PressureLevel::Moderate;
-  const auto moderate = run_video(spec);
+  scenario::ScenarioSpec spec =
+      scenario::single_video("fig16", 720, 60, 20, PressureLevel::Normal, 1);
+  const auto normal = run_single(spec);
+  spec.state = PressureLevel::Moderate;
+  const auto moderate = run_single(spec);
 
   EXPECT_GT(moderate.outcome.drop_rate, normal.outcome.drop_rate);
   EXPECT_GE(moderate.start_level, PressureLevel::Moderate);
 }
 
 TEST(Experiment, OrganicBackgroundAppsRaisePressure) {
-  VideoRunSpec spec;
-  spec.device = nokia1();
-  spec.height = 480;
-  spec.fps = 60;
-  spec.asset = video::dubai_flow_motion(20);
+  scenario::ScenarioSpec spec =
+      scenario::single_video("fig16", 480, 60, 20, PressureLevel::Normal, 1);
   spec.organic_background_apps = 8;
-  const auto result = run_video(spec);
+  const auto result = run_single(spec);
   // Eight top-free apps on a 1 GB phone: playback starts under pressure.
   EXPECT_GE(result.start_level, PressureLevel::Moderate);
 }

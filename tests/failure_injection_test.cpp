@@ -3,8 +3,8 @@
 // downstream user will hit the day they change a default.
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
 #include "proc/activity_manager.hpp"
+#include "scenario/driver.hpp"
 #include "trace/analysis.hpp"
 
 namespace mvqoe {
@@ -12,6 +12,18 @@ namespace {
 
 using mem::PressureLevel;
 using sim::sec;
+
+/// One Firefox session on an explicit device, seed 1.
+scenario::ScenarioSpec custom_spec(core::DeviceProfile device, int height, int fps,
+                                   PressureLevel pressure, int duration) {
+  scenario::ScenarioSpec spec = scenario::single_video("", height, fps, duration, pressure, 1);
+  spec.device_override = std::move(device);
+  return spec;
+}
+
+core::VideoRunResult run_single(const scenario::ScenarioSpec& spec) {
+  return scenario::run_scenario(spec).sessions.at(0).result;
+}
 
 struct DeviceFixture {
   core::Testbed testbed{core::nexus5(), 7};
@@ -91,13 +103,7 @@ TEST(FailureInjection, ZeroZramDeviceStillWorks) {
   // file pages; pressure escalates to kills faster.
   core::DeviceProfile device = core::nexus5();
   device.memory.zram_capacity = 0;
-  core::VideoRunSpec spec;
-  spec.device = device;
-  spec.height = 480;
-  spec.fps = 30;
-  spec.pressure = PressureLevel::Moderate;
-  spec.asset = video::dubai_flow_motion(16);
-  const auto result = core::run_video(spec);
+  const auto result = run_single(custom_spec(device, 480, 30, PressureLevel::Moderate, 16));
   // Must complete (possibly with drops/crash) without violating accounting.
   EXPECT_GE(result.metrics.frames_presented, 0);
 }
@@ -105,12 +111,7 @@ TEST(FailureInjection, ZeroZramDeviceStillWorks) {
 TEST(FailureInjection, SingleCoreDeviceSerializesEverything) {
   core::DeviceProfile device = core::nokia1();
   device.scheduler.cores = {sched::CoreConfig{1.1}};
-  core::VideoRunSpec spec;
-  spec.device = device;
-  spec.height = 240;
-  spec.fps = 30;
-  spec.asset = video::dubai_flow_motion(12);
-  const auto result = core::run_video(spec);
+  const auto result = run_single(custom_spec(device, 240, 30, PressureLevel::Normal, 12));
   EXPECT_FALSE(result.outcome.crashed);
   // One 1.1 GHz core running client + system: playable at 240p30 but the
   // schedule is tight; accounting must still be exact.
@@ -161,13 +162,8 @@ TEST(FailureInjection, PressureInducerUnreachableTargetIsBounded) {
 }
 
 TEST(FailureInjection, StartupUnderCriticalEitherPlaysOrCrashesCleanly) {
-  core::VideoRunSpec spec;
-  spec.device = core::nokia1();
-  spec.height = 1080;
-  spec.fps = 60;
-  spec.pressure = PressureLevel::Critical;
-  spec.asset = video::dubai_flow_motion(16);
-  const auto result = core::run_video(spec);
+  const auto result =
+      run_single(scenario::single_video("fig16", 1080, 60, 16, PressureLevel::Critical, 1));
   // Whatever happens, the outcome must be classified: crashed or all
   // frames accounted.
   if (!result.outcome.crashed) {
@@ -284,24 +280,21 @@ TEST(FaultScenarios, StorageErrorWindowDuringPressureDegradesButCompletes) {
   // refault reads and writeback exactly when the degradation window
   // injects 6x latency and 40% transient errors. The device-side retry
   // path must absorb every error; the run must still classify cleanly.
-  core::VideoRunSpec spec;
-  spec.device = core::nexus5();
-  spec.height = 480;
-  spec.fps = 30;
-  spec.pressure = PressureLevel::Moderate;
-  spec.asset = video::dubai_flow_motion(16);
-  spec.fault_plan.storage_degradations.push_back({sec(2), sec(12), 6.0, 0.4});
+  scenario::ScenarioSpec spec =
+      scenario::single_video("fig11", 480, 30, 16, PressureLevel::Moderate, 1);
+  scenario::video_spec(spec).fault_plan.storage_degradations.push_back(
+      {sec(2), sec(12), 6.0, 0.4});
   spec.run_watchdog = true;
-  core::VideoExperiment experiment(spec);
-  const auto result = experiment.run();
+  scenario::ScenarioDriver driver(spec);
+  const scenario::ScenarioResult result = driver.run();
   EXPECT_NE(result.status, core::RunStatus::TimedOut);
   EXPECT_TRUE(result.watchdog_violations.empty());
-  const auto& counters = experiment.testbed().storage.counters();
+  const auto& counters = driver.testbed().storage.counters();
   EXPECT_GT(counters.io_errors, 0u);
   EXPECT_GE(counters.io_retries, counters.io_errors);
   // Window closed: storage back to nominal.
-  EXPECT_DOUBLE_EQ(experiment.testbed().storage.latency_multiplier(), 1.0);
-  EXPECT_DOUBLE_EQ(experiment.testbed().storage.error_rate(), 0.0);
+  EXPECT_DOUBLE_EQ(driver.testbed().storage.latency_multiplier(), 1.0);
+  EXPECT_DOUBLE_EQ(driver.testbed().storage.error_rate(), 0.0);
 }
 
 TEST(FaultScenarios, AcceptanceOutagePlusKillRelaunchesOnceDeterministically) {
@@ -311,22 +304,20 @@ TEST(FaultScenarios, AcceptanceOutagePlusKillRelaunchesOnceDeterministically) {
   // relaunch exactly once, keep the frame identity exact, and replay
   // byte-identically for the same seed.
   const auto run_once = [] {
-    core::VideoRunSpec spec;
-    spec.device = core::nexus5();
-    spec.height = 480;
-    spec.fps = 30;
-    spec.seed = 11;
-    spec.asset = video::dubai_flow_motion(60);
-    spec.fault_plan.link_outages.push_back({sec(10), sec(5)});
-    spec.fault_plan.kills.push_back({sec(30), 0});
+    scenario::ScenarioSpec spec =
+        scenario::single_video("fig11", 480, 30, 60, PressureLevel::Normal, 11);
+    scenario::VideoWorkloadSpec& session = scenario::video_spec(spec);
+    session.fault_plan.link_outages.push_back({sec(10), sec(5)});
+    session.fault_plan.kills.push_back({sec(30), 0});
     video::RecoveryConfig recovery;
     recovery.relaunch_on_kill = true;
-    spec.recovery = recovery;
+    session.recovery = recovery;
     spec.run_watchdog = true;
-    return core::run_video(spec);
+    return scenario::run_scenario(spec);
   };
 
-  const auto first = run_once();
+  const scenario::ScenarioResult first_run = run_once();
+  const core::VideoRunResult& first = first_run.sessions.at(0).result;
   EXPECT_EQ(first.status, core::RunStatus::Completed) << first.failure_reason;
   EXPECT_FALSE(first.metrics.crashed);
   EXPECT_EQ(first.metrics.relaunches, 1);
@@ -335,9 +326,10 @@ TEST(FaultScenarios, AcceptanceOutagePlusKillRelaunchesOnceDeterministically) {
   EXPECT_EQ(first.metrics.frames_presented + first.metrics.frames_dropped +
                 first.metrics.frames_lost_to_kill,
             60 * 30);
-  EXPECT_TRUE(first.watchdog_violations.empty());
+  EXPECT_TRUE(first_run.watchdog_violations.empty());
 
-  const auto second = run_once();
+  const scenario::ScenarioResult second_run = run_once();
+  const core::VideoRunResult& second = second_run.sessions.at(0).result;
   EXPECT_EQ(second.metrics.frames_presented, first.metrics.frames_presented);
   EXPECT_EQ(second.metrics.frames_dropped, first.metrics.frames_dropped);
   EXPECT_EQ(second.metrics.frames_lost_to_kill, first.metrics.frames_lost_to_kill);

@@ -3,30 +3,31 @@
 // than any single module's behaviour.
 #include <gtest/gtest.h>
 
-#include "video/abr_policy.hpp"
-#include "core/experiment.hpp"
+#include "runner/scenario_batch.hpp"
+#include "scenario/driver.hpp"
 #include "trace/analysis.hpp"
+#include "video/abr_policy.hpp"
 
 namespace mvqoe {
 namespace {
 
 using mem::PressureLevel;
 
-core::VideoRunSpec quick_spec(core::DeviceProfile device, int height, int fps,
-                              PressureLevel pressure, int duration = 24) {
-  core::VideoRunSpec spec;
-  spec.device = std::move(device);
-  spec.height = height;
-  spec.fps = fps;
-  spec.pressure = pressure;
-  spec.asset = video::dubai_flow_motion(duration);
-  spec.seed = 9;
+/// One Firefox session on an explicit device, seed 9.
+scenario::ScenarioSpec quick_spec(core::DeviceProfile device, int height, int fps,
+                                  PressureLevel pressure, int duration = 24) {
+  scenario::ScenarioSpec spec = scenario::single_video("", height, fps, duration, pressure, 9);
+  spec.device_override = std::move(device);
   return spec;
+}
+
+core::VideoRunResult run_single(const scenario::ScenarioSpec& spec) {
+  return scenario::run_scenario(spec).sessions.at(0).result;
 }
 
 TEST(Integration, FrameAccountingIsExactWhenNotCrashed) {
   const auto result =
-      core::run_video(quick_spec(core::nexus5(), 480, 30, PressureLevel::Normal));
+      run_single(quick_spec(core::nexus5(), 480, 30, PressureLevel::Normal));
   ASSERT_FALSE(result.outcome.crashed);
   EXPECT_EQ(result.metrics.frames_presented + result.metrics.frames_dropped, 24 * 30);
   // Per-second series sums must match the totals.
@@ -42,28 +43,28 @@ TEST(Integration, PressureMonotonicallyDegradesQoE) {
     return result.outcome.drop_rate + (result.outcome.crashed ? 1.0 : 0.0);
   };
   const auto normal =
-      core::run_video(quick_spec(core::nokia1(), 720, 60, PressureLevel::Normal));
+      run_single(quick_spec(core::nokia1(), 720, 60, PressureLevel::Normal));
   const auto moderate =
-      core::run_video(quick_spec(core::nokia1(), 720, 60, PressureLevel::Moderate));
+      run_single(quick_spec(core::nokia1(), 720, 60, PressureLevel::Moderate));
   const auto critical =
-      core::run_video(quick_spec(core::nokia1(), 720, 60, PressureLevel::Critical));
+      run_single(quick_spec(core::nokia1(), 720, 60, PressureLevel::Critical));
   EXPECT_LE(badness(normal), badness(moderate) + 1e-9);
   EXPECT_LE(badness(moderate), badness(critical) + 1e-9);
 }
 
 TEST(Integration, HigherRungNeverReducesDrops) {
-  const auto low = core::run_video(quick_spec(core::nokia1(), 240, 30, PressureLevel::Normal));
+  const auto low = run_single(quick_spec(core::nokia1(), 240, 30, PressureLevel::Normal));
   const auto high =
-      core::run_video(quick_spec(core::nokia1(), 1080, 60, PressureLevel::Normal));
+      run_single(quick_spec(core::nokia1(), 1080, 60, PressureLevel::Normal));
   EXPECT_LE(low.outcome.drop_rate, high.outcome.drop_rate + 1e-9);
 }
 
 TEST(Integration, CrashAlwaysLeavesKillAndCrashEvents) {
-  core::VideoExperiment experiment(
+  scenario::ScenarioDriver driver(
       quick_spec(core::nokia1(), 720, 60, PressureLevel::Critical));
-  const auto result = experiment.run();
+  const auto result = driver.run().sessions.at(0).result;
   ASSERT_TRUE(result.outcome.crashed);
-  const auto& instants = experiment.testbed().tracer.instants();
+  const auto& instants = driver.testbed().tracer.instants();
   bool saw_crash = false;
   bool saw_foreground_kill = false;
   for (const auto& event : instants) {
@@ -77,11 +78,11 @@ TEST(Integration, CrashAlwaysLeavesKillAndCrashEvents) {
 }
 
 TEST(Integration, TraceIntervalsArePerThreadContiguous) {
-  core::VideoExperiment experiment(
+  scenario::ScenarioDriver driver(
       quick_spec(core::nexus5(), 480, 60, PressureLevel::Moderate));
-  experiment.run();
-  auto& tracer = experiment.testbed().tracer;
-  tracer.finalize(experiment.testbed().engine.now());
+  driver.run();
+  auto& tracer = driver.testbed().tracer;
+  tracer.finalize(driver.testbed().engine.now());
   // For every thread, intervals must be non-overlapping and contiguous
   // in time order (the scheduler never leaves accounting gaps).
   std::map<trace::ThreadId, sim::Time> last_end;
@@ -97,11 +98,11 @@ TEST(Integration, TraceIntervalsArePerThreadContiguous) {
 }
 
 TEST(Integration, OnlyOneThreadRunsPerCoreAtATime) {
-  core::VideoExperiment experiment(
+  scenario::ScenarioDriver driver(
       quick_spec(core::nokia1(), 480, 60, PressureLevel::Moderate, 16));
-  experiment.run();
-  auto& tracer = experiment.testbed().tracer;
-  tracer.finalize(experiment.testbed().engine.now());
+  driver.run();
+  auto& tracer = driver.testbed().tracer;
+  tracer.finalize(driver.testbed().engine.now());
   // Total Running time across all threads can never exceed cores x wall.
   double running = 0.0;
   sim::Time end = 0;
@@ -112,15 +113,15 @@ TEST(Integration, OnlyOneThreadRunsPerCoreAtATime) {
     end = std::max(end, interval.end);
   }
   const double capacity =
-      sim::to_seconds(end) * static_cast<double>(experiment.testbed().scheduler.core_count());
+      sim::to_seconds(end) * static_cast<double>(driver.testbed().scheduler.core_count());
   EXPECT_LE(running, capacity + 1e-6);
 }
 
 TEST(Integration, MemoryAccountingInvariantHoldsAfterRun) {
-  core::VideoExperiment experiment(
+  scenario::ScenarioDriver driver(
       quick_spec(core::nokia1(), 720, 60, PressureLevel::Moderate, 16));
-  experiment.run();
-  auto& memory = experiment.testbed().memory;
+  driver.run();
+  auto& memory = driver.testbed().memory;
   // free is derived from the pools; it must stay within [0, total].
   EXPECT_GE(memory.free_pages(), 0);
   EXPECT_LE(memory.free_pages() + memory.anon_pages() + memory.file_pages(),
@@ -145,9 +146,9 @@ TEST(Integration, MemoryAccountingInvariantHoldsAfterRun) {
 TEST(Integration, MemoryAwareAbrOutperformsFixedUnderPressure) {
   video::MemoryAwareAbr aware(std::make_unique<video::RateBasedAbr>(60));
   auto spec = quick_spec(core::nokia1(), 720, 60, PressureLevel::Moderate, 32);
-  const auto fixed = core::run_video(spec);
-  spec.abr = &aware;
-  const auto adaptive = core::run_video(spec);
+  const auto fixed = run_single(spec);
+  scenario::video_spec(spec).abr = &aware;
+  const auto adaptive = run_single(spec);
   const double fixed_badness = fixed.outcome.drop_rate + (fixed.outcome.crashed ? 1.0 : 0.0);
   const double adaptive_badness =
       adaptive.outcome.drop_rate + (adaptive.outcome.crashed ? 1.0 : 0.0);
@@ -159,10 +160,10 @@ TEST(Integration, MemoryAwareAbrOutperformsFixedUnderPressure) {
 
 TEST(Integration, SmallerFootprintPlayerDropsFewerFramesUnderPressure) {
   auto spec = quick_spec(core::nokia1(), 480, 60, PressureLevel::Moderate, 24);
-  spec.platform = video::PlayerPlatform::Firefox;
-  const auto firefox = core::run_video(spec);
-  spec.platform = video::PlayerPlatform::ExoPlayer;
-  const auto exoplayer = core::run_video(spec);
+  scenario::video_spec(spec).platform = video::PlayerPlatform::Firefox;
+  const auto firefox = run_single(spec);
+  scenario::video_spec(spec).platform = video::PlayerPlatform::ExoPlayer;
+  const auto exoplayer = run_single(spec);
   const double firefox_badness =
       firefox.outcome.drop_rate + (firefox.outcome.crashed ? 1.0 : 0.0);
   const double exo_badness =
@@ -172,21 +173,21 @@ TEST(Integration, SmallerFootprintPlayerDropsFewerFramesUnderPressure) {
 
 TEST(Integration, RepeatedRunsAreIndependentAndSeedDriven) {
   auto spec = quick_spec(core::nexus5(), 720, 60, PressureLevel::Normal, 12);
-  const auto aggregate_a = core::run_video_repeated(spec, 3);
-  const auto aggregate_b = core::run_video_repeated(spec, 3);
+  const auto aggregate_a = runner::run_scenario_batch(spec, 3, 1).aggregate;
+  const auto aggregate_b = runner::run_scenario_batch(spec, 3, 1).aggregate;
   ASSERT_EQ(aggregate_a.runs(), aggregate_b.runs());
   // Same base seed -> identical aggregate.
   EXPECT_DOUBLE_EQ(aggregate_a.drop_rate().mean, aggregate_b.drop_rate().mean);
   spec.seed = 999;
-  const auto aggregate_c = core::run_video_repeated(spec, 3);
+  const auto aggregate_c = runner::run_scenario_batch(spec, 3, 1).aggregate;
   EXPECT_EQ(aggregate_c.runs(), 3u);
 }
 
 TEST(Integration, BiggerDeviceIsNeverWorse) {
   const auto nokia =
-      core::run_video(quick_spec(core::nokia1(), 1080, 60, PressureLevel::Normal, 16));
+      run_single(quick_spec(core::nokia1(), 1080, 60, PressureLevel::Normal, 16));
   const auto n6p =
-      core::run_video(quick_spec(core::nexus6p(), 1080, 60, PressureLevel::Normal, 16));
+      run_single(quick_spec(core::nexus6p(), 1080, 60, PressureLevel::Normal, 16));
   EXPECT_LE(n6p.outcome.drop_rate, nokia.outcome.drop_rate + 1e-9);
 }
 
@@ -195,24 +196,24 @@ TEST(Integration, NetworkIsNeverTheBottleneck) {
   // (1440p30 on the Nexus 6P — 1440p60 exceeds its software-decode
   // budget, as on the real phones the paper capped at 1080p), the link
   // keeps the buffer full and every segment arrives early.
-  core::VideoExperiment experiment(
+  scenario::ScenarioDriver driver(
       quick_spec(core::nexus6p(), 1440, 30, PressureLevel::Normal, 24));
-  const auto result = experiment.run();
+  const auto result = driver.run().sessions.at(0).result;
   EXPECT_FALSE(result.outcome.crashed);
   EXPECT_LT(result.outcome.drop_rate, 0.05);
   // All segments downloaded well before the video ended.
   std::size_t downloads = 0;
-  for (const auto& event : experiment.testbed().tracer.instants()) {
+  for (const auto& event : driver.testbed().tracer.instants()) {
     if (event.kind == trace::InstantKind::SegmentDownloaded) ++downloads;
   }
   EXPECT_EQ(downloads, 6u);  // 24 s / 4 s segments
 }
 
 TEST(Integration, TrimSignalsReachSubscribersDuringExperiments) {
-  core::VideoExperiment experiment(
+  scenario::ScenarioDriver driver(
       quick_spec(core::nokia1(), 480, 60, PressureLevel::Moderate, 16));
-  experiment.run();
-  const auto& vm = experiment.testbed().memory.vmstat();
+  driver.run();
+  const auto& vm = driver.testbed().memory.vmstat();
   EXPECT_GT(vm.trim_signals[1] + vm.trim_signals[2] + vm.trim_signals[3], 0u);
 }
 

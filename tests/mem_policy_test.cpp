@@ -16,7 +16,7 @@
 #include "campaign/sweep_campaign.hpp"
 #include "fleet/spec.hpp"
 #include "mem/policy.hpp"
-#include "runner/video_batch.hpp"
+#include "runner/scenario_batch.hpp"
 #include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
 #include "snapshot/bytes.hpp"

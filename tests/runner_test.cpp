@@ -17,7 +17,7 @@
 
 #include "runner/batch.hpp"
 #include "runner/json_writer.hpp"
-#include "runner/video_batch.hpp"
+#include "runner/scenario_batch.hpp"
 #include "stats/rng.hpp"
 
 namespace mvqoe::runner {
@@ -228,67 +228,54 @@ TEST(JsonWriter, LocaleIndependentDoubles) {
 
 // Full-precision serialization of every per-run result: the byte string
 // the parallel path must reproduce exactly.
-std::string dump_runs(const std::vector<RunSlot<core::VideoRunResult>>& runs) {
+std::string dump_runs(const std::vector<RunSlot<scenario::ScenarioResult>>& runs) {
   JsonWriter w;
   w.begin_array();
   for (const auto& slot : runs) {
     w.begin_object()
         .field("index", slot.index)
         .field("ok", slot.ok)
-        .field("frames_presented", slot.value.metrics.frames_presented)
-        .field("frames_dropped", slot.value.metrics.frames_dropped)
-        .field("rebuffers", slot.value.metrics.rebuffer_events)
         .field("status", core::to_string(slot.value.status));
-    w.key("outcome");
-    write_run_outcome(w, slot.value.outcome);
-    w.end_object();
+    w.key("sessions").begin_array();
+    for (const scenario::SessionReport& session : slot.value.sessions) {
+      const core::VideoRunResult& result = session.result;
+      w.begin_object()
+          .field("label", session.label)
+          .field("frames_presented", result.metrics.frames_presented)
+          .field("frames_dropped", result.metrics.frames_dropped)
+          .field("rebuffers", result.metrics.rebuffer_events);
+      w.key("outcome");
+      write_run_outcome(w, result.outcome);
+      w.end_object();
+    }
+    w.end_array().end_object();
   }
   w.end_array();
   return w.str();
 }
 
-core::VideoRunSpec small_video_spec() {
-  core::VideoRunSpec spec;
-  spec.device = core::nexus5();
-  spec.height = 480;
-  spec.fps = 30;
-  spec.pressure = mem::PressureLevel::Normal;
-  spec.asset = video::dubai_flow_motion(6);
-  spec.seed = 77;
-  return spec;
+/// Nexus 5 / Firefox (family fig11), 480p30, 6 s video, seed 77.
+scenario::ScenarioSpec small_video_spec() {
+  return scenario::single_video("fig11", 480, 30, 6, mem::PressureLevel::Normal, 77);
 }
 
 TEST(VideoBatch, ParallelMatchesSerialByteIdentical) {
-  const core::VideoRunSpec spec = small_video_spec();
-  const auto serial = run_video_batch(spec, 4, 1);
-  const auto parallel = run_video_batch(spec, 4, 4);
+  const scenario::ScenarioSpec spec = small_video_spec();
+  const auto serial = run_scenario_batch(spec, 4, 1);
+  const auto parallel = run_scenario_batch(spec, 4, 4);
   EXPECT_EQ(serial.jobs_used, 1);
   EXPECT_EQ(serial.failures, 0u);
   EXPECT_EQ(parallel.failures, 0u);
   EXPECT_EQ(dump_runs(serial.runs), dump_runs(parallel.runs));
 }
 
-TEST(VideoBatch, MatchesLegacySerialHelper) {
-  const core::VideoRunSpec spec = small_video_spec();
-  const auto batch = run_video_batch(spec, 3, 4);
-  const auto legacy = core::run_video_repeated(spec, 3);
-  ASSERT_EQ(batch.aggregate.runs(), legacy.runs());
-  for (std::size_t i = 0; i < legacy.runs(); ++i) {
-    JsonWriter a;
-    write_run_outcome(a, batch.aggregate.outcomes()[i]);
-    JsonWriter b;
-    write_run_outcome(b, legacy.outcomes()[i]);
-    EXPECT_EQ(a.str(), b.str()) << "run " << i;
-  }
-}
-
 TEST(VideoBatch, SweepGridParallelMatchesSerial) {
-  core::VideoRunSpec proto = small_video_spec();
+  const scenario::ScenarioSpec proto = small_video_spec();
   const std::vector<mem::PressureLevel> states = {mem::PressureLevel::Normal};
   const std::vector<int> fps = {30};
   const std::vector<int> heights = {360, 480};
-  const auto serial = run_sweep_grid(proto, states, fps, heights, 2, 1, 1000);
-  const auto parallel = run_sweep_grid(proto, states, fps, heights, 2, 4, 1000);
+  const auto serial = run_scenario_sweep_grid(proto, states, fps, heights, 2, 1, 1000);
+  const auto parallel = run_scenario_sweep_grid(proto, states, fps, heights, 2, 4, 1000);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t c = 0; c < serial.size(); ++c) {
     EXPECT_EQ(serial[c].height, parallel[c].height);
@@ -305,9 +292,8 @@ TEST(VideoBatch, SweepGridParallelMatchesSerial) {
 }
 
 TEST(VideoBatch, SweepJsonIsWritten) {
-  core::VideoRunSpec proto = small_video_spec();
-  const auto cells =
-      run_sweep_grid(proto, {mem::PressureLevel::Normal}, {30}, {480}, 1, 2, 1000);
+  const auto cells = run_scenario_sweep_grid(small_video_spec(), {mem::PressureLevel::Normal},
+                                             {30}, {480}, 1, 2, 1000);
   ::setenv("MVQOE_JSON_DIR", ::testing::TempDir().c_str(), 1);
   const std::string path = write_sweep_json("runner_selftest", cells, 1, 2, 1000);
   ::unsetenv("MVQOE_JSON_DIR");

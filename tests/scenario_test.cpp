@@ -1,6 +1,6 @@
 // Scenario/workload model tests (DESIGN.md §11): the declarative spec
-// round-trips through the SCEN section (v2, with v1 back-compat), the
-// single-video scenario sweep reproduces the legacy sweep bit for bit,
+// round-trips through the SCEN section (v2, with v1 back-compat), a
+// paper family equals its explicit custom-device form byte for byte,
 // multi-session contention scenarios replay deterministically with
 // per-session QoE attribution, the contention grid is --jobs invariant,
 // and the component registry rejects section-tag collisions.
@@ -123,34 +123,38 @@ TEST(ScenarioSpec, SaveRejectsRuntimeOnlyKnobs) {
   EXPECT_THROW(save_scenario(w, with_asset), std::invalid_argument);
 }
 
-// The refactor's byte-identity contract: a single-video ScenarioSpec
-// proto on the scenario sweep must reproduce the legacy VideoRunSpec
-// sweep bit for bit (same seeds, same cells, same JSON payload).
-TEST(ScenarioSweep, SingleVideoProtoMatchesLegacySweepByteForByte) {
-  const std::vector<mem::PressureLevel> states = {mem::PressureLevel::Normal,
-                                                  mem::PressureLevel::Moderate};
-  const std::vector<int> fps = {30};
-  const std::vector<int> heights = {360, 480};
-  const int runs = 2;
-  const std::uint64_t base_seed = 900;
+// A paper family is shorthand for an explicit device and player: the
+// fig11 family form and its custom-device form (Nexus 5, Firefox, the
+// default asset spelled out) must build the same world — same final
+// state digest, same outcome bytes — so callers can use either.
+TEST(ScenarioSpec, FamilySpecEqualsCustomDeviceSpec) {
+  const ScenarioSpec family = single_video("fig11", 480, 30, 8, mem::PressureLevel::Moderate, 23);
 
-  core::VideoRunSpec legacy;
-  legacy.device = core::nokia1();
-  legacy.asset = video::dubai_flow_motion(8);
-  const auto old_grid =
-      runner::run_sweep_grid(legacy, states, fps, heights, runs, 1, base_seed);
+  ScenarioSpec custom;
+  custom.family.clear();
+  custom.device_override = core::nexus5();
+  custom.state = mem::PressureLevel::Moderate;
+  custom.seed = 23;
+  VideoWorkloadSpec session;
+  session.height = 480;
+  session.fps = 30;
+  session.duration_s = 8;
+  session.platform = video::PlayerPlatform::Firefox;
+  session.seed = 23;
+  session.asset_override = video::dubai_flow_motion(8);
+  custom.workloads.emplace_back(std::move(session));
 
-  ScenarioSpec proto;
-  proto.family.clear();
-  proto.device_override = core::nokia1();
-  VideoWorkloadSpec video;
-  video.duration_s = 8;
-  proto.workloads.emplace_back(std::move(video));
-  const auto new_grid =
-      runner::run_scenario_sweep_grid(proto, states, fps, heights, runs, 1, base_seed);
-
-  EXPECT_EQ(runner::sweep_json("identity", old_grid, runs, 1, base_seed),
-            runner::sweep_json("identity", new_grid, runs, 1, base_seed));
+  auto run = [](const ScenarioSpec& spec) {
+    ScenarioDriver driver(spec);
+    const ScenarioResult result = driver.run();
+    runner::JsonWriter w;
+    runner::write_run_outcome(w, result.sessions.at(0).result.outcome);
+    return std::make_pair(driver.state_digest(), w.str());
+  };
+  const auto [family_digest, family_outcome] = run(family);
+  const auto [custom_digest, custom_outcome] = run(custom);
+  EXPECT_EQ(family_digest, custom_digest);
+  EXPECT_EQ(family_outcome, custom_outcome);
 }
 
 // Two concurrent sessions, replayed twice: identical per-session digests

@@ -37,7 +37,7 @@
 #include "campaign/progress.hpp"
 #include "campaign/signal.hpp"
 #include "campaign/sweep_campaign.hpp"
-#include "runner/video_batch.hpp"
+#include "runner/scenario_batch.hpp"
 
 namespace {
 

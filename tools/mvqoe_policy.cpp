@@ -38,7 +38,7 @@
 #include "campaign/policy_campaign.hpp"
 #include "campaign/progress.hpp"
 #include "campaign/signal.hpp"
-#include "runner/video_batch.hpp"
+#include "runner/scenario_batch.hpp"
 
 namespace {
 
