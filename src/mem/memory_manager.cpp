@@ -1,6 +1,7 @@
 #include "mem/memory_manager.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <climits>
 #include <cmath>
@@ -597,10 +598,19 @@ MemoryManager::ReclaimOutcome MemoryManager::run_reclaim_batch(bool kswapd) {
 }
 
 double MemoryManager::pressure_P() const noexcept {
-  const double age_s = sim::to_seconds(engine_.now() - last_pressure_sample_);
+  // Called several times per batch at one instant: memoise on the full
+  // input (the EMA compared bitwise, so even a sign-of-zero change misses).
+  const sim::Time now = engine_.now();
+  const auto ema_bits = std::bit_cast<std::uint64_t>(pressure_ema_);
+  if (pressure_memo_.valid && pressure_memo_.now == now &&
+      pressure_memo_.sample == last_pressure_sample_ && pressure_memo_.ema_bits == ema_bits) {
+    return pressure_memo_.value;
+  }
+  const double age_s = sim::to_seconds(now - last_pressure_sample_);
   // Half-life of 1.5 s once scanning stops.
   const double decay = std::pow(0.5, std::max(0.0, age_s) / 1.5);
-  return pressure_ema_ * decay;
+  pressure_memo_ = {true, now, last_pressure_sample_, ema_bits, pressure_ema_ * decay};
+  return pressure_memo_.value;
 }
 
 void MemoryManager::record_pressure(const ReclaimOutcome& outcome) {

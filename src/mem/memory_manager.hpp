@@ -240,6 +240,15 @@ class MemoryManager {
 
   double pressure_ema_ = 0.0;
   sim::Time last_pressure_sample_ = 0;
+  /// pressure_P() memo keyed on every input it reads; never serialized.
+  struct PressureMemo {
+    bool valid = false;
+    sim::Time now = 0;
+    sim::Time sample = 0;
+    std::uint64_t ema_bits = 0;
+    double value = 0.0;
+  };
+  mutable PressureMemo pressure_memo_;
   PressureLevel level_ = PressureLevel::Normal;
 
   sched::ThreadId kswapd_tid_ = 0;

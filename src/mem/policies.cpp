@@ -188,7 +188,10 @@ class AriadneReclaim final : public ReclaimPolicy {
         cold_cpu_refus_(cold_cpu_refus),
         warm_cpu_refus_(warm_cpu_refus) {}
 
-  void attach_scheduler(const sched::Scheduler* scheduler) override { scheduler_ = scheduler; }
+  void attach_scheduler(const sched::Scheduler* scheduler) override {
+    scheduler_ = scheduler;
+    pid_of_tid_.assign(1, ProcessId{0});
+  }
 
   ReclaimPlan plan_batch(ReclaimView& view) override {
     sample_hotness();
@@ -237,23 +240,22 @@ class AriadneReclaim final : public ReclaimPolicy {
     Pages cold_pages = 0;
     Pages warm_pages = 0;
     if (remaining > 0) {
-      std::vector<ProcessMem*> order;
+      order_.clear();
       for (ProcessMem* process : view.registry.reclaim_order()) {
-        if (!process->unevictable) order.push_back(process);
+        if (!process->unevictable) order_.push_back({hotness_of(process->pid), process});
       }
-      std::sort(order.begin(), order.end(), [this](const ProcessMem* a, const ProcessMem* b) {
-        const double ha = hotness_of(a->pid);
-        const double hb = hotness_of(b->pid);
-        if (ha != hb) return ha < hb;
-        return a->lru_seq < b->lru_seq;
+      std::sort(order_.begin(), order_.end(), [](const OrderKey& a, const OrderKey& b) {
+        if (a.hotness != b.hotness) return a.hotness < b.hotness;
+        return a.process->lru_seq < b.process->lru_seq;
       });
       Pages zram_space = config_.zram_capacity - view.zram_stored;
-      for (ProcessMem* process : order) {
+      for (const OrderKey& key : order_) {
+        ProcessMem* process = key.process;
         if (remaining <= 0 || zram_space <= 0) break;
         const Pages cold = std::max<Pages>(0, process->anon_resident - process->hot_pages);
         const Pages take = std::min({cold, remaining, zram_space});
         if (take <= 0) continue;
-        const bool cold_tier = hotness_of(process->pid) <= hot_cut_refus_;
+        const bool cold_tier = key.hotness <= hot_cut_refus_;
         plan.compress.push_back({process, take, cold_tier ? 0 : 1});
         (cold_tier ? cold_pages : warm_pages) += take;
         remaining -= take;
@@ -324,48 +326,83 @@ class AriadneReclaim final : public ReclaimPolicy {
       w.i64(count.cold);
       w.i64(count.warm);
     }
-    w.u64(hotness_.size());
-    for (const auto& [pid, hot] : hotness_) {
+    // Hotness, then previous CPU, each in ascending pid order.
+    w.u64(tracked_pids_);
+    for (ProcessId pid = 0; pid < pids_.size(); ++pid) {
+      if (!pids_[pid].tracked) continue;
       w.u32(pid);
-      w.f64(hot);
+      w.f64(pids_[pid].hotness);
     }
-    w.u64(prev_cpu_.size());
-    for (const auto& [pid, cpu] : prev_cpu_) {
+    w.u64(tracked_pids_);
+    for (ProcessId pid = 0; pid < pids_.size(); ++pid) {
+      if (!pids_[pid].tracked) continue;
       w.u32(pid);
-      w.f64(cpu);
+      w.f64(pids_[pid].prev_cpu);
     }
   }
 
  private:
   double hotness_of(ProcessId pid) const noexcept {
-    const auto it = hotness_.find(pid);
-    return it == hotness_.end() ? 0.0 : it->second;
+    return pid < pids_.size() ? pids_[pid].hotness : 0.0;
   }
 
   /// Fold the scheduler's cumulative per-thread CPU counters into a
-  /// per-process hotness EMA (one sample per batch). Ascending-tid
-  /// iteration makes the per-process fold deterministic; terminated
-  /// threads keep their final counters, so deltas stay non-negative.
+  /// per-process hotness EMA (one sample per batch). Each process sums
+  /// its threads in ascending tid order from 0.0, which keeps the fold
+  /// deterministic; terminated threads keep their final counters, so
+  /// deltas stay non-negative. Reuses its buffers: no per-batch
+  /// allocation once every thread has been seen.
   void sample_hotness() {
     if (scheduler_ == nullptr) return;  // Immediate mode: LRU order only
-    std::map<ProcessId, double> cumulative;
     const auto count = static_cast<sched::ThreadId>(scheduler_->thread_count());
+    // A thread's pid never changes, so the cache only grows.
+    for (auto tid = static_cast<sched::ThreadId>(pid_of_tid_.size()); tid <= count; ++tid) {
+      const auto pid = static_cast<ProcessId>(scheduler_->pid_of(tid));
+      pid_of_tid_.push_back(pid);
+      if (pid >= pids_.size()) pids_.resize(static_cast<std::size_t>(pid) + 1);
+    }
     for (sched::ThreadId tid = 1; tid <= count; ++tid) {
-      cumulative[static_cast<ProcessId>(scheduler_->pid_of(tid))] +=
-          scheduler_->counters(tid).cpu_refus_consumed;
+      const ProcessId pid = pid_of_tid_[tid];
+      PidState& state = pids_[pid];
+      if (!state.sampled) {
+        state.sampled = true;
+        state.cumulative = 0.0;
+        sampled_.push_back(pid);
+      }
+      state.cumulative += scheduler_->counters(tid).cpu_refus_consumed;
     }
-    for (const auto& [pid, total] : cumulative) {
-      double& prev = prev_cpu_[pid];
-      const double delta = total - prev;
-      prev = total;
-      double& hot = hotness_[pid];
-      hot = 0.5 * hot + 0.5 * delta;
+    for (const ProcessId pid : sampled_) {
+      PidState& state = pids_[pid];
+      state.sampled = false;
+      if (!state.tracked) {
+        state.tracked = true;
+        ++tracked_pids_;
+      }
+      const double delta = state.cumulative - state.prev_cpu;
+      state.prev_cpu = state.cumulative;
+      state.hotness = 0.5 * state.hotness + 0.5 * delta;
     }
+    sampled_.clear();
   }
 
   struct TierCount {
     Pages cold = 0;
     Pages warm = 0;
+  };
+
+  /// Per-process hotness state, indexed by pid.
+  struct PidState {
+    double hotness = 0.0;
+    double prev_cpu = 0.0;
+    double cumulative = 0.0;  // this batch's CPU sum (valid while sampled)
+    bool tracked = false;     // sampled at least once: serialized by save()
+    bool sampled = false;     // in sampled_ this batch
+  };
+
+  /// Compression candidate with its precomputed sort key.
+  struct OrderKey {
+    double hotness = 0.0;
+    ProcessMem* process = nullptr;
   };
 
   const sched::Scheduler* scheduler_ = nullptr;
@@ -377,8 +414,11 @@ class AriadneReclaim final : public ReclaimPolicy {
   Pages cold_stored_ = 0;
   Pages warm_stored_ = 0;
   std::map<ProcessId, TierCount> stored_;
-  std::map<ProcessId, double> hotness_;
-  std::map<ProcessId, double> prev_cpu_;
+  std::vector<PidState> pids_;
+  std::size_t tracked_pids_ = 0;
+  std::vector<ProcessId> pid_of_tid_ = {0};  // tid -> pid cache (tids start at 1)
+  std::vector<ProcessId> sampled_;  // reused per-batch buffer
+  std::vector<OrderKey> order_;     // reused per-batch buffer
 };
 
 // --- partitioned (arXiv 2101.10707) ------------------------------------------

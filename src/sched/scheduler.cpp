@@ -201,6 +201,18 @@ sim::EventId Scheduler::sleep_for(ThreadId tid, sim::Time delay, std::function<v
   });
 }
 
+void Scheduler::insert_rt(Core& core, ThreadId tid) {
+  // Behind every queued thread of greater-or-equal priority: what a
+  // push_back + stable_sort by priority desc gives on a sorted queue.
+  const int priority = thread(tid).spec.priority;
+  const auto pos = std::find_if(core.rt_queue.begin(), core.rt_queue.end(),
+                                [&](ThreadId q) { return thread(q).spec.priority < priority; });
+  core.rt_queue.insert(pos, tid);
+  assert(std::is_sorted(core.rt_queue.begin(), core.rt_queue.end(), [this](ThreadId a, ThreadId b) {
+    return thread(a).spec.priority > thread(b).spec.priority;
+  }));
+}
+
 void Scheduler::enqueue(ThreadId tid, std::size_t core_idx, bool preempt_check) {
   Thread& t = thread(tid);
   Core& core = cores_[core_idx];
@@ -214,11 +226,7 @@ void Scheduler::enqueue(ThreadId tid, std::size_t core_idx, bool preempt_check) 
 
   if (core.running == trace::kNoThread) {
     if (t.spec.sched_class == SchedClass::Realtime) {
-      core.rt_queue.push_back(tid);
-      std::stable_sort(core.rt_queue.begin(), core.rt_queue.end(),
-                       [this](ThreadId a, ThreadId b) {
-                         return thread(a).spec.priority > thread(b).spec.priority;
-                       });
+      insert_rt(core, tid);
     } else {
       core.fair_queue.push_back(tid);
     }
@@ -239,10 +247,7 @@ void Scheduler::enqueue(ThreadId tid, std::size_t core_idx, bool preempt_check) 
   }
 
   if (t.spec.sched_class == SchedClass::Realtime) {
-    core.rt_queue.push_back(tid);
-    std::stable_sort(core.rt_queue.begin(), core.rt_queue.end(), [this](ThreadId a, ThreadId b) {
-      return thread(a).spec.priority > thread(b).spec.priority;
-    });
+    insert_rt(core, tid);
   } else {
     core.fair_queue.push_back(tid);
     // A fair thread is now waiting behind the running thread: make sure a
@@ -374,11 +379,7 @@ void Scheduler::deschedule(std::size_t core_idx, trace::ThreadState next_state,
     // The victim remains runnable: requeue on this core (no preempt check
     // — it just lost the CPU).
     if (t.spec.sched_class == SchedClass::Realtime) {
-      core.rt_queue.push_back(tid);
-      std::stable_sort(core.rt_queue.begin(), core.rt_queue.end(),
-                       [this](ThreadId a, ThreadId b) {
-                         return thread(a).spec.priority > thread(b).spec.priority;
-                       });
+      insert_rt(core, tid);
     } else {
       core.fair_queue.push_back(tid);
     }

@@ -191,6 +191,9 @@ class Scheduler {
   std::size_t place_thread(const Thread& t) const;
   /// Put a runnable thread on a core's queue and trigger preemption checks.
   void enqueue(ThreadId tid, std::size_t core, bool preempt_check);
+  /// Queue an RT thread behind every waiting thread of >= priority (the
+  /// queue stays sorted by priority desc, FIFO within a priority).
+  void insert_rt(Core& core, ThreadId tid);
   /// Choose and dispatch the next thread on `core` (assumes core idle).
   void dispatch(std::size_t core);
   /// Stop the thread currently running on `core`, charging consumed work.

@@ -50,7 +50,12 @@ const ThreadMeta* Tracer::thread(ThreadId tid) const noexcept {
 }
 
 void Tracer::state_change(ThreadId tid, sim::Time at, ThreadState next, ThreadId preemptor) {
-  auto& open = open_[tid];
+  if (tid >= open_.size()) open_.resize(static_cast<std::size_t>(tid) + 1);
+  OpenInterval& open = open_[tid];
+  if (!open.seen) {
+    open.seen = true;
+    seen_order_.insert(tid);
+  }
   if (open.open && at > open.begin) {
     intervals_.push_back(StateInterval{tid, open.begin, at, open.state, open.preemptor});
   }
@@ -71,7 +76,8 @@ void Tracer::counter(const std::string& name, sim::Time at, double value) {
 }
 
 void Tracer::finalize(sim::Time at) {
-  for (auto& [tid, open] : open_) {
+  for (const ThreadId tid : seen_order_) {
+    OpenInterval& open = open_[tid];
     if (open.open && at > open.begin) {
       intervals_.push_back(StateInterval{tid, open.begin, at, open.state, open.preemptor});
       open.begin = at;
@@ -85,6 +91,7 @@ void Tracer::clear_events() {
   instants_.clear();
   counters_.clear();
   open_.clear();
+  seen_order_.clear();
 }
 
 }  // namespace mvqoe::trace

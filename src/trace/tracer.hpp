@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -144,10 +145,19 @@ class Tracer {
     ThreadState state = ThreadState::Created;
     ThreadId preemptor = kNoThread;
     bool open = false;
+    bool seen = false;  // tid is in seen_order_
   };
 
   std::unordered_map<ThreadId, ThreadMeta> threads_;
-  std::unordered_map<ThreadId, OpenInterval> open_;
+  /// Dense per-tid open-interval table (scheduler tids are dense from 1;
+  /// a gap only costs unused slots).
+  std::vector<OpenInterval> open_;
+  /// Every tid state_change has seen since the last clear_events().
+  /// finalize() closes intervals in this set's iteration order, which
+  /// is fixed by the first-seen sequence: the Table 4/5 analyses sum
+  /// doubles in interval order, so this order is part of the output
+  /// bytes (BENCH JSON, digests) and must not change.
+  std::unordered_set<ThreadId> seen_order_;
   std::vector<StateInterval> intervals_;
   std::vector<PreemptionRecord> preemptions_;
   std::vector<InstantEvent> instants_;

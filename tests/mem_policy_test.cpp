@@ -10,16 +10,22 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include "campaign/policy_campaign.hpp"
 #include "campaign/sweep_campaign.hpp"
+#include "check/generator.hpp"
+#include "check/harness.hpp"
 #include "fleet/spec.hpp"
 #include "mem/policy.hpp"
+#include "net/cc.hpp"
 #include "runner/scenario_batch.hpp"
 #include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
 #include "snapshot/bytes.hpp"
+#include "snapshot/digest.hpp"
+#include "stats/rng.hpp"
 
 namespace mvqoe {
 namespace {
@@ -297,6 +303,64 @@ TEST(PolicyDifferential, PoliciesProducePairwiseDistinctKillSequences) {
           << mem::mem_policy_names()[a] << " vs " << mem::mem_policy_names()[b];
     }
   }
+}
+
+// --- ariadne byte identity ---------------------------------------------------
+
+// The ariadne planner's per-batch bookkeeping (dense per-pid hotness,
+// precomputed sort keys) and the memoised pressure_P() must reproduce the
+// bytes of the straightforward map-based planner. These values were
+// captured from that planner.
+
+// The generated world behind mvbench's "ariadne + hog" finding: table1 /
+// Low / ariadne with a pressure hog and a background cohort.
+TEST(AriadneIdentity, GeneratedHogWorldKeepsItsFinalDigest) {
+  check::GeneratorConfig gen;
+  gen.policies = mem::mem_policy_names();
+  gen.ccs = net::cc_names();
+  gen.max_videos = 1;
+  gen.min_duration_s = 6;
+  gen.max_duration_s = 6;
+  gen.organic_probability = 0.0;
+  const scenario::ScenarioSpec spec =
+      check::generate_scenario(stats::derive_seed(13, 55), gen);
+  ASSERT_EQ(spec.family, "table1");
+  ASSERT_EQ(spec.state, mem::PressureLevel::Low);
+  ASSERT_EQ(spec.mem_policy.name, "ariadne");
+  bool hog = false;
+  bool background = false;
+  for (const scenario::WorkloadSpec& workload : spec.workloads) {
+    hog |= std::holds_alternative<scenario::PressureWorkloadSpec>(workload);
+    background |= std::holds_alternative<scenario::BackgroundAppsWorkloadSpec>(workload);
+  }
+  ASSERT_TRUE(hog);
+  ASSERT_TRUE(background);
+
+  check::CheckOptions opts;
+  opts.meta_determinism = false;
+  const check::RunReport report = check::check_scenario(spec, opts);
+  EXPECT_TRUE(report.ok);
+  EXPECT_EQ(report.final_digest, 0x37aba53ba8dcf137ULL);
+}
+
+// One fig16 Low cell under ariadne: the MPOL section bytes (tier counts,
+// hotness and previous-CPU tables in ascending pid order) and the full
+// world digest.
+TEST(AriadneIdentity, Fig16LowCellKeepsItsPolicyBytesAndStateDigest) {
+  scenario::ScenarioSpec scen =
+      scenario::single_video("fig16", 720, 60, 20, mem::PressureLevel::Low, 7);
+  scen.mem_policy.name = "ariadne";
+  scenario::ScenarioDriver driver(scen);
+  driver.run();
+  // The cell must reach the hotness-ordered compression path.
+  ASSERT_GT(driver.testbed().memory.vmstat().pgscan_kswapd, 0u);
+  ASSERT_GT(driver.testbed().memory.vmstat().pswpout, 0u);
+
+  snapshot::ByteWriter w;
+  driver.testbed().memory.policy().save(w);
+  EXPECT_EQ(w.view().size(), std::size_t{495});
+  EXPECT_EQ(snapshot::digest_bytes(w.view()), 17497254580077210337ULL);
+  EXPECT_EQ(driver.state_digest(), 10257793504739314132ULL);
 }
 
 // The compare campaign's baseline lane IS the plain sweep campaign: the

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <unordered_set>
+#include <vector>
+
 #include "trace/analysis.hpp"
 #include "trace/tracer.hpp"
 
@@ -68,6 +72,107 @@ TEST(Tracer, ClearEventsKeepsThreadRegistry) {
   EXPECT_TRUE(tracer.intervals().empty());
   EXPECT_TRUE(tracer.instants().empty());
   EXPECT_NE(tracer.thread(1), nullptr);
+}
+
+TEST(Tracer, OutOfOrderAndGappedTidsCloseTheirOwnIntervals) {
+  Tracer tracer;
+  tracer.state_change(9, 0, ThreadState::Running);
+  tracer.state_change(2, msec(1), ThreadState::Runnable);
+  tracer.state_change(5, msec(2), ThreadState::Sleeping);
+  tracer.state_change(2, msec(4), ThreadState::Running);
+  tracer.state_change(9, msec(6), ThreadState::RunnablePreempted, 2);
+
+  ASSERT_EQ(tracer.intervals().size(), 2u);
+  EXPECT_EQ(tracer.intervals()[0].tid, 2u);
+  EXPECT_EQ(tracer.intervals()[0].state, ThreadState::Runnable);
+  EXPECT_EQ(tracer.intervals()[0].begin, msec(1));
+  EXPECT_EQ(tracer.intervals()[0].end, msec(4));
+  EXPECT_EQ(tracer.intervals()[1].tid, 9u);
+  EXPECT_EQ(tracer.intervals()[1].state, ThreadState::Running);
+  EXPECT_EQ(tracer.intervals()[1].end, msec(6));
+
+  // finalize() closes in the iteration order of a hash set fed the
+  // first-seen sequence — the order the per-state sums have always used.
+  tracer.finalize(msec(10));
+  std::unordered_set<ThreadId> first_seen;
+  for (const ThreadId tid : {9u, 2u, 5u}) first_seen.insert(tid);
+  std::vector<ThreadId> expected(first_seen.begin(), first_seen.end());
+  ASSERT_EQ(tracer.intervals().size(), 5u);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const StateInterval& closing = tracer.intervals()[2 + i];
+    EXPECT_EQ(closing.tid, expected[i]);
+    EXPECT_EQ(closing.end, msec(10));
+    EXPECT_EQ(closing.preemptor, closing.tid == 9 ? 2u : kNoThread);
+  }
+}
+
+TEST(Tracer, FinalizeClosesEachOpenThreadExactlyOnce) {
+  Tracer tracer;
+  // 40 threads with gaps, opened in descending order; every third one
+  // terminates before the end of the run.
+  std::vector<ThreadId> tids;
+  for (ThreadId tid = 120; tid >= 3; tid -= 3) tids.push_back(tid);
+  for (const ThreadId tid : tids) {
+    tracer.state_change(tid, 0, ThreadState::Runnable);
+    tracer.state_change(tid, msec(tid), ThreadState::Running);
+    if (tid % 9 == 0) tracer.state_change(tid, msec(200), ThreadState::Terminated);
+  }
+  const std::size_t before = tracer.intervals().size();
+  tracer.finalize(sec(1));
+  tracer.finalize(sec(1));  // same instant: nothing new
+
+  std::map<ThreadId, int> closed;
+  for (std::size_t i = before; i < tracer.intervals().size(); ++i) {
+    const StateInterval& closing = tracer.intervals()[i];
+    EXPECT_EQ(closing.end, sec(1));
+    EXPECT_EQ(closing.state, ThreadState::Running);
+    ++closed[closing.tid];
+  }
+  for (const ThreadId tid : tids) {
+    EXPECT_EQ(closed[tid], tid % 9 == 0 ? 0 : 1) << "tid " << tid;
+  }
+
+  // A later finalize closes the follow-on stretch, again once each.
+  const std::size_t after_first = tracer.intervals().size();
+  tracer.finalize(sec(2));
+  EXPECT_EQ(tracer.intervals().size() - after_first, after_first - before);
+}
+
+TEST(Tracer, ClearEventsResetsOpenIntervalsButKeepsThreads) {
+  Tracer tracer;
+  tracer.register_thread(meta(4, "t"));
+  tracer.register_thread(meta(11, "u"));
+  tracer.state_change(4, 0, ThreadState::Running);
+  tracer.state_change(11, 0, ThreadState::Sleeping);
+  tracer.clear_events();
+
+  tracer.finalize(sec(1));
+  EXPECT_TRUE(tracer.intervals().empty());
+  EXPECT_EQ(tracer.threads().size(), 2u);
+  ASSERT_NE(tracer.thread(11), nullptr);
+  EXPECT_EQ(tracer.thread(11)->name, "u");
+
+  // A thread seen again after the clear starts fresh.
+  tracer.state_change(11, sec(2), ThreadState::Runnable);
+  tracer.state_change(11, sec(3), ThreadState::Running);
+  tracer.finalize(sec(4));
+  ASSERT_EQ(tracer.intervals().size(), 2u);
+  EXPECT_EQ(tracer.intervals()[0].begin, sec(2));
+  EXPECT_EQ(tracer.intervals()[0].state, ThreadState::Runnable);
+  EXPECT_EQ(tracer.intervals()[1].begin, sec(3));
+  EXPECT_EQ(tracer.intervals()[1].tid, 11u);
+}
+
+TEST(Tracer, ZeroLengthStateChangeOnAFreshTidRecordsNothing) {
+  Tracer tracer;
+  tracer.state_change(17, msec(3), ThreadState::Runnable);
+  tracer.state_change(17, msec(3), ThreadState::Running);
+  tracer.finalize(msec(3));
+  EXPECT_TRUE(tracer.intervals().empty());
+  tracer.finalize(msec(8));
+  ASSERT_EQ(tracer.intervals().size(), 1u);
+  EXPECT_EQ(tracer.intervals()[0].state, ThreadState::Running);
+  EXPECT_EQ(tracer.intervals()[0].begin, msec(3));
 }
 
 TEST(Analysis, StateTimesSumPerState) {
