@@ -10,6 +10,7 @@
 #include <chrono>
 
 #include "bench_util.hpp"
+#include "runner/ipc.hpp"
 #include "runner/warm_sweep.hpp"
 
 namespace {
@@ -154,7 +155,7 @@ int main(int argc, char** argv) {
                 cold.size(), runs, cold_s, warm_s,
                 cold_s > 0.0 ? (1.0 - warm_s / cold_s) * 100.0 : 0.0);
     std::printf("  outputs byte-identical: %s%s\n", identical ? "yes" : "NO - BUG",
-                runner::warm_fork_supported() ? "" : " (fork unsupported; warm ran cold)");
+                runner::fork_supported() ? "" : " (fork unsupported; warm ran cold)");
     const std::string sweep_path = runner::bench_json_path("fig16_warm_start");
     if (runner::write_file(sweep_path, warm_json)) {
       std::printf("  machine-readable: %s\n", sweep_path.c_str());

@@ -1,11 +1,9 @@
 // Fleet throughput benchmark -> BENCH_fleet.json.
 //
 // Runs the documented fleet smoke configuration (session 5 s, no
-// warmup, 512-device shards, cold start) through the serial lane and
-// the fork-CoW warm lane, and records devices/sec + peak RSS so fleet
-// throughput gets a trajectory like BENCH_engine.json. The two lanes
-// must agree on the campaign digest — the bench fails loudly if the
-// warm path ever drifts from the cold reference.
+// warmup, 512-device shards) through the serial lane and records
+// devices/sec + peak RSS + the campaign digest so fleet throughput gets
+// a trajectory like BENCH_engine.json.
 //
 // `--smoke` runs a reduced device count as the bench ctest tier and
 // exits non-zero when serial throughput falls below a conservative
@@ -40,19 +38,15 @@ struct LaneResult {
   std::uint64_t digest = 0;
 };
 
-LaneResult best_of(const fleet::FleetSpec& spec, bool warm, int reps) {
+LaneResult best_of(const fleet::FleetSpec& spec, int reps) {
   LaneResult best;
   for (int r = 0; r < reps; ++r) {
-    fleet::FleetRunOptions opts;
-    opts.warm = warm;
-    const fleet::FleetRunResult result = fleet::run_fleet(spec, opts);
+    const fleet::FleetRunResult result = fleet::run_fleet(spec, fleet::FleetRunOptions{});
     if (result.devices_per_sec > best.devices_per_sec) {
       best.devices_per_sec = result.devices_per_sec;
       best.wall_s = result.wall_s;
     }
-    // Peak RSS is a process high-water mark: report the last lane
-    // reading rather than the max so earlier lanes don't mask it.
-    best.peak_rss_mb = result.peak_rss_mb;
+    best.peak_rss_mb = result.peak_rss_mb;  // process high-water mark
     best.digest = result.digest;
   }
   return best;
@@ -71,15 +65,10 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 2 : 3;
   const fleet::FleetSpec spec = smoke_spec(devices);
 
-  const LaneResult serial = best_of(spec, /*warm=*/false, reps);
+  const LaneResult serial = best_of(spec, reps);
   std::printf("fleet serial   %8.0f devices/s  wall %.2fs  peak RSS %.1f MB  digest=%016llx\n",
               serial.devices_per_sec, serial.wall_s, serial.peak_rss_mb,
               static_cast<unsigned long long>(serial.digest));
-
-  const LaneResult warm = best_of(spec, /*warm=*/true, 1);
-  std::printf("fleet warm     %8.0f devices/s  wall %.2fs  digest=%016llx (%s)\n",
-              warm.devices_per_sec, warm.wall_s, static_cast<unsigned long long>(warm.digest),
-              warm.digest == serial.digest ? "matches cold" : "MISMATCH");
 
   runner::JsonWriter json;
   json.begin_object()
@@ -100,11 +89,6 @@ int main(int argc, char** argv) {
       .field("wall_s", serial.wall_s)
       .field("peak_rss_mb", serial.peak_rss_mb)
       .end_object();
-  json.key("warm_fork").begin_object()
-      .field("devices_per_sec", warm.devices_per_sec)
-      .field("wall_s", warm.wall_s)
-      .field("digest_matches_cold", warm.digest == serial.digest)
-      .end_object();
   char digest_hex[17];
   std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
                 static_cast<unsigned long long>(serial.digest));
@@ -116,14 +100,10 @@ int main(int argc, char** argv) {
     std::printf("machine-readable: %s\n", path.c_str());
   }
 
-  if (warm.digest != serial.digest) {
-    std::fprintf(stderr, "FAIL: warm-fork digest diverged from the cold serial lane\n");
-    return 1;
-  }
   if (smoke) {
     // Regression tripwire: the reference 1-core box sustains ~10-11k
     // devices/sec on this configuration; half that means a per-device
-    // cost regression (template prep storm, fork in the cold path, ...).
+    // cost regression (template prep storm, a fork per device, ...).
     if (serial.devices_per_sec < 5000.0) {
       std::fprintf(stderr, "FAIL: fleet serial throughput %.0f devices/sec < 5000 floor\n",
                    serial.devices_per_sec);

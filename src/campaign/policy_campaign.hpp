@@ -1,14 +1,15 @@
 // Policy-compare campaigns: the "what if Android did X" experiment
 // (DESIGN.md §16) on top of the campaign coordinator.
 //
-// A compare runs the SAME warm-start sweep grid once per memory policy.
-// One campaign unit = one (policy, state, run) warm-sweep group in
+// A compare runs the SAME warm-start sweep grid once per memory policy,
+// through the sweep campaign's own lane-major runner
+// (campaign/grid_campaign; a sweep is a one-lane compare). One
+// campaign unit = one (policy, state, run) warm-sweep group in
 // policy-major order, and every policy lane reuses the same
 // sweep_group_seed(base, state, run) world stream — so lane p and lane q
 // boot identically-seeded device populations and differ only in how
-// their reclaim/kill policies respond. Unit payloads are the same
-// encoded CellRunOutcome vectors the sweep campaign ships; merging them
-// in unit order is deterministic, so the compare digest is invariant to
+// their reclaim/kill policies respond. Merging unit payloads in unit
+// order is deterministic, so the compare digest is invariant to
 // --jobs/--procs and to kill-and-resume.
 #pragma once
 

@@ -10,6 +10,9 @@
 // order reproduces run_sweep_grid_shared's grid exactly, so a resumed
 // campaign's BENCH json and digest match an uninterrupted run byte for
 // byte.
+//
+// A sweep is a policy compare (campaign/policy_campaign) with one lane:
+// both run through campaign/grid_campaign.
 #pragma once
 
 #include <cstdint>

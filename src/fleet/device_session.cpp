@@ -1,7 +1,6 @@
 #include "fleet/device_session.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
@@ -9,72 +8,10 @@
 
 #include "net/link.hpp"
 #include "proc/app_catalog.hpp"
-#include "runner/ipc.hpp"
 #include "stats/rng.hpp"
 #include "study/population.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/wait.h>
-#include <unistd.h>
-#define MVQOE_FLEET_FORK 1
-#else
-#define MVQOE_FLEET_FORK 0
-#endif
-
 namespace mvqoe::fleet {
-
-void encode_observations(snapshot::ByteWriter& w, const DeviceObservations& obs) {
-  w.u32(obs.family);
-  w.u32(obs.cohort);
-  for (const std::uint64_t s : obs.signals) w.u64(s);
-  for (const std::uint32_t s : obs.seconds_in_level) w.u32(s);
-  for (const auto& row : obs.transitions) {
-    for (const std::uint32_t t : row) w.u32(t);
-  }
-  w.u32(static_cast<std::uint32_t>(obs.dwell.size()));
-  for (const auto& [from, seconds] : obs.dwell) {
-    w.u8(from);
-    w.f64(seconds);
-  }
-  w.u32(static_cast<std::uint32_t>(obs.util_samples.size()));
-  for (const double u : obs.util_samples) w.f64(u);
-  w.u32(static_cast<std::uint32_t>(obs.avail_samples.size()));
-  for (const auto& [level, mb] : obs.avail_samples) {
-    w.u8(level);
-    w.f64(mb);
-  }
-}
-
-DeviceObservations decode_observations(snapshot::ByteReader& r) {
-  DeviceObservations obs;
-  obs.family = r.u32();
-  obs.cohort = r.u32();
-  for (std::uint64_t& s : obs.signals) s = r.u64();
-  for (std::uint32_t& s : obs.seconds_in_level) s = r.u32();
-  for (auto& row : obs.transitions) {
-    for (std::uint32_t& t : row) t = r.u32();
-  }
-  const std::uint32_t dwell_count = r.u32();
-  obs.dwell.reserve(dwell_count);
-  for (std::uint32_t i = 0; i < dwell_count; ++i) {
-    const std::uint8_t from = r.u8();
-    if (from >= kLevels) throw std::runtime_error("fleet: dwell level byte out of range");
-    const double seconds = r.f64();
-    obs.dwell.emplace_back(from, seconds);
-  }
-  const std::uint32_t util_count = r.u32();
-  obs.util_samples.reserve(util_count);
-  for (std::uint32_t i = 0; i < util_count; ++i) obs.util_samples.push_back(r.f64());
-  const std::uint32_t avail_count = r.u32();
-  obs.avail_samples.reserve(avail_count);
-  for (std::uint32_t i = 0; i < avail_count; ++i) {
-    const std::uint8_t level = r.u8();
-    if (level >= kLevels) throw std::runtime_error("fleet: avail level byte out of range");
-    const double mb = r.f64();
-    obs.avail_samples.emplace_back(level, mb);
-  }
-  return obs;
-}
 
 FleetWorld::FleetWorld(const core::DeviceProfile& profile, const mem::MemPolicySpec& mem_policy)
     : engine(), memory(engine, profile.memory, mem_policy), am(memory) {}
@@ -277,51 +214,9 @@ DeviceObservations run_device_cold(const FleetDevice& device, const FleetSpec& s
   return drive_session(world, device, spec);
 }
 
-#if MVQOE_FLEET_FORK
-
-/// Fork one CoW child per device of a prepared (family, cohort)
-/// template. Children run sequentially — the fleet's parallelism axis
-/// is shards, not devices — and a child that dies before reporting
-/// fails the whole shard so the campaign retry machinery re-runs it.
-DeviceObservations run_device_forked(FleetWorld& world, const FleetDevice& device,
-                                     const FleetSpec& spec) {
-  int fds[2];
-  if (::pipe(fds) != 0) throw std::runtime_error("fleet: pipe() failed");
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    throw std::runtime_error("fleet: fork() failed");
-  }
-  if (pid == 0) {
-    ::close(fds[0]);
-    snapshot::ByteWriter w;
-    encode_observations(w, drive_session(world, device, spec));
-    runner::write_all(fds[1], w.view());
-    ::close(fds[1]);
-    ::_exit(0);  // no destructors/atexit — the child is a throwaway world
-  }
-  ::close(fds[1]);
-  const std::string payload = runner::read_all(fds[0]);
-  ::close(fds[0]);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 || payload.empty()) {
-    throw std::runtime_error("fleet: warm-start child died before reporting device " +
-                             std::to_string(device.index));
-  }
-  snapshot::ByteReader r(payload);
-  DeviceObservations obs = decode_observations(r);
-  if (!r.done()) throw std::runtime_error("fleet: trailing bytes after device observations");
-  return obs;
-}
-
-#endif  // MVQOE_FLEET_FORK
-
 }  // namespace
 
-std::vector<DeviceObservations> run_shard_observations(const FleetSpec& spec, std::uint64_t unit,
-                                                       bool warm) {
+std::vector<DeviceObservations> run_shard_observations(const FleetSpec& spec, std::uint64_t unit) {
   const std::uint64_t first = unit * spec.shard_size;
   if (first >= spec.devices) throw std::invalid_argument("fleet: unit past the fleet");
   const std::uint64_t last = std::min(first + spec.shard_size, spec.devices);
@@ -333,27 +228,6 @@ std::vector<DeviceObservations> run_shard_observations(const FleetSpec& spec, st
   }
 
   std::vector<DeviceObservations> observations(devices.size());
-#if MVQOE_FLEET_FORK
-  if (warm && runner::fork_supported()) {
-    // One prepared template per (family, cohort) present in the shard;
-    // devices grouped under it, each forked CoW. Results land in slot
-    // [device - first] so the fold order stays ascending-device no
-    // matter how the groups interleave.
-    std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-      groups[{devices[i].family, devices[i].cohort}].push_back(i);
-    }
-    for (const auto& [key, slots] : groups) {
-      FleetWorld world(family_at(key.first).profile(), spec.mem_policy);
-      prepare_world(world, key.first, key.second, spec);
-      for (const std::size_t slot : slots) {
-        observations[slot] = run_device_forked(world, devices[slot], spec);
-      }
-    }
-    return observations;
-  }
-#endif
-  (void)warm;
   for (std::size_t i = 0; i < devices.size(); ++i) {
     observations[i] = run_device_cold(devices[i], spec);
   }

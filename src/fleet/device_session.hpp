@@ -1,14 +1,11 @@
 // One fleet device-session: world template preparation and the
 // per-second usage loop (DESIGN.md §15).
 //
-// The session splits like the warm-start sweeps (runner/warm_sweep):
-// a *template* phase — boot the family's device, preload the cohort's
-// organic apps, idle through warmup — that is identical for every
-// device of a (family, cohort) pair, and a *session* phase driven by
-// the device's own seed. Warm mode prepares the template once per
-// group and forks a copy-on-write child per device; cold mode rebuilds
-// the template in-process per device from the same world stream. Both
-// produce bit-identical DeviceObservations — the fleet test asserts it.
+// The session splits into a *template* phase — boot the family's
+// device, preload the cohort's organic apps, idle through warmup — that
+// is a pure function of the device's (family, cohort) pair, and a
+// *session* phase driven by the device's own seed. Each device rebuilds
+// its template in-process from the (family, cohort) world stream.
 #pragma once
 
 #include <array>
@@ -22,7 +19,6 @@
 #include "mem/memory_manager.hpp"
 #include "proc/activity_manager.hpp"
 #include "sim/engine.hpp"
-#include "snapshot/bytes.hpp"
 
 namespace mvqoe::fleet {
 
@@ -47,13 +43,9 @@ struct DeviceObservations {
   std::vector<std::pair<std::uint8_t, double>> avail_samples;
 };
 
-void encode_observations(snapshot::ByteWriter& w, const DeviceObservations& obs);
-DeviceObservations decode_observations(snapshot::ByteReader& r);
-
 /// A device world: engine + memory manager + activity manager, bound
 /// together in construction order. Non-copyable (the memory manager
-/// holds an engine reference); warm mode shares it across devices via
-/// fork, never via copy.
+/// holds an engine reference).
 class FleetWorld {
  public:
   explicit FleetWorld(const core::DeviceProfile& profile,
@@ -67,8 +59,8 @@ class FleetWorld {
 };
 
 /// Boot + cohort preload + warmup idle. Pure in (family, cohort,
-/// spec.seed, spec.warmup_s): cold rebuilds and warm forks of the same
-/// template are indistinguishable.
+/// spec.seed, spec.warmup_s): every rebuild of the same template is
+/// indistinguishable.
 void prepare_world(FleetWorld& world, std::uint32_t family, std::uint32_t cohort,
                    const FleetSpec& spec);
 
@@ -78,11 +70,7 @@ DeviceObservations drive_session(FleetWorld& world, const FleetDevice& device,
                                  const FleetSpec& spec);
 
 /// Observations for every device of shard `unit`, in ascending device
-/// order. Cold mode (warm == false) rebuilds each device's template
-/// in-process; warm mode prepares one template per (family, cohort)
-/// group present in the shard and forks a child per device, falling
-/// back to cold when fork is unavailable. Identical output either way.
-std::vector<DeviceObservations> run_shard_observations(const FleetSpec& spec, std::uint64_t unit,
-                                                       bool warm);
+/// order; each device's template is rebuilt in-process.
+std::vector<DeviceObservations> run_shard_observations(const FleetSpec& spec, std::uint64_t unit);
 
 }  // namespace mvqoe::fleet

@@ -3,8 +3,8 @@
 // Where the §3 field study samples per-device *hardware* (every
 // StudyDevice is a unique world), a fleet device is drawn from a small
 // catalog of pinned device families × organic-preload cohorts, so that
-// one prepared world template per (family, cohort) can serve — and, in
-// warm mode, be CoW-forked for — millions of devices. Usage behaviour
+// one world template per (family, cohort) can serve millions of
+// devices. Usage behaviour
 // (survey ratings, switch rate, multitasking cap) is still sampled per
 // device with the study's distributions, so the population marginals
 // match the paper's.

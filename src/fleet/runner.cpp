@@ -38,8 +38,8 @@ double peak_rss_mb_now() {
 
 }  // namespace
 
-std::string run_fleet_unit(const FleetSpec& spec, std::uint64_t unit, bool warm) {
-  const std::vector<DeviceObservations> observations = run_shard_observations(spec, unit, warm);
+std::string run_fleet_unit(const FleetSpec& spec, std::uint64_t unit) {
+  const std::vector<DeviceObservations> observations = run_shard_observations(spec, unit);
   FleetAggregate shard;
   for (const DeviceObservations& obs : observations) shard.fold(obs, spec);
   return shard.encode();
@@ -80,7 +80,7 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& opts) {
       };
     }
     result.campaign = campaign::run_campaign(
-        total_units, [&](std::uint64_t unit) { return run_fleet_unit(spec, unit, opts.warm); },
+        total_units, [&](std::uint64_t unit) { return run_fleet_unit(spec, unit); },
         campaign_opts);
     payloads = std::move(result.campaign.payloads);
     completed = result.campaign.completed;
@@ -94,7 +94,7 @@ FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& opts) {
           if (opts.interrupt != nullptr && *opts.interrupt != 0) {
             throw std::runtime_error("fleet: interrupted");
           }
-          std::string payload = run_fleet_unit(spec, static_cast<std::uint64_t>(unit), opts.warm);
+          std::string payload = run_fleet_unit(spec, static_cast<std::uint64_t>(unit));
           if (opts.progress) {
             const std::lock_guard<std::mutex> lock(progress_mutex);
             opts.progress(devices_done_for(++units_done), spec.devices);

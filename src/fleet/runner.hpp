@@ -14,6 +14,7 @@
 #include <csignal>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 #include "campaign/coordinator.hpp"
@@ -29,9 +30,6 @@ struct FleetRunOptions {
   /// Worker processes; > 0 (or a state_path/resume) engages the
   /// campaign coordinator.
   int procs = 0;
-  /// Fork-per-device CoW warm start inside each shard (bit-identical to
-  /// cold; see fleet/device_session).
-  bool warm = false;
   /// Campaign units per coordinator shard (crash-retry granularity).
   std::size_t units_per_proc_shard = 2;
   /// Campaign checkpoint file ("" = no checkpointing).
@@ -65,7 +63,13 @@ struct FleetRunResult {
 
 /// One shard's payload: observations for every device of `unit`, folded
 /// in ascending device order into a fresh aggregate, encoded.
-std::string run_fleet_unit(const FleetSpec& spec, std::uint64_t unit, bool warm);
+std::string run_fleet_unit(const FleetSpec& spec, std::uint64_t unit);
+
+/// Only caller: mvbench/harness.cpp, which still passes the removed
+/// warm flag as `false`. `true` is rejected; the lane no longer exists.
+inline std::string run_fleet_unit(const FleetSpec& spec, std::uint64_t unit, bool warm) {
+  return warm ? throw std::invalid_argument("fleet: no warm lane") : run_fleet_unit(spec, unit);
+}
 
 /// Run (or resume) the fleet and reduce to a single aggregate.
 FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& opts);

@@ -4,7 +4,7 @@
 // them into one streaming FleetAggregate. The spec holds only the
 // result-defining parameters: everything here is covered by the config
 // fingerprint, so a checkpoint can never silently resume under a
-// different population. Execution knobs (--jobs/--procs/warm-vs-cold)
+// different population. Execution knobs (--jobs/--procs)
 // live in fleet::FleetRunOptions instead — like the sweep campaign's
 // group_workers, they may change across resumes without changing a
 // single output byte.

@@ -79,23 +79,34 @@ CellRunOutcome run_cell_video(scenario::ScenarioDriver& driver, int height, int 
   return result;
 }
 
+/// One cold cell's whole-world spec: `proto` retargeted to (state,
+/// height, fps) on the group's world stream and the cell's video stream
+/// — the same seeds the warm path forks the cell with.
+scenario::ScenarioSpec cold_cell_spec(const scenario::ScenarioSpec& proto,
+                                      mem::PressureLevel state, int height, int fps,
+                                      std::uint64_t group_seed) {
+  scenario::ScenarioSpec spec = proto;
+  scenario::VideoWorkloadSpec& video = scenario::video_spec(spec);
+  video.height = height;
+  video.fps = fps;
+  spec.state = state;
+  spec.world_seed = group_seed;
+  const std::uint64_t video_seed = sweep_video_seed(group_seed, height, fps);
+  spec.seed = video_seed;
+  video.seed = video_seed;
+  return spec;
+}
+
 #if !MVQOE_WARM_FORK
-/// One cold (cell, run): the whole world from boot, same seed scheme as
-/// the warm path — the portable fallback run_warm_group degrades to.
+/// One cold (cell, run): the whole world from boot — the portable
+/// fallback run_warm_group degrades to.
 CellRunOutcome run_cell_cold(const scenario::ScenarioSpec& proto, mem::PressureLevel state,
-                             int height, int fps, std::uint64_t group_seed,
-                             std::uint64_t video_seed) {
+                             int height, int fps, std::uint64_t group_seed) {
   CellRunOutcome result;
   try {
-    scenario::ScenarioSpec spec = proto;
-    scenario::VideoWorkloadSpec& video = scenario::video_spec(spec);
-    video.height = height;
-    video.fps = fps;
-    spec.state = state;
-    spec.world_seed = group_seed;
-    spec.seed = video_seed;
-    video.seed = video_seed;
-    result.outcome = scenario::run_scenario(spec).sessions.at(0).result.outcome;
+    result.outcome = scenario::run_scenario(cold_cell_spec(proto, state, height, fps, group_seed))
+                         .sessions.at(0)
+                         .result.outcome;
     result.ok = true;
   } catch (const std::exception& e) {
     result.error = e.what();
@@ -192,7 +203,26 @@ std::uint64_t sweep_video_seed(std::uint64_t group_seed, int height, int fps) no
   return seed;
 }
 
-bool warm_fork_supported() noexcept { return fork_supported(); }
+std::vector<SweepCellResult> empty_sweep_grid(const std::vector<mem::PressureLevel>& states,
+                                              const std::vector<int>& fps,
+                                              const std::vector<int>& heights,
+                                              std::uint64_t base_seed) {
+  std::vector<SweepCellResult> cells;
+  cells.reserve(states.size() * fps.size() * heights.size());
+  for (const auto state : states) {
+    for (const int f : fps) {
+      for (const int h : heights) {
+        SweepCellResult cell;
+        cell.height = h;
+        cell.fps = f;
+        cell.state = state;
+        cell.cell_seed = sweep_video_seed(sweep_group_seed(base_seed, state, 0), h, f);
+        cells.push_back(cell);
+      }
+    }
+  }
+  return cells;
+}
 
 std::vector<CellRunOutcome> run_warm_group(const scenario::ScenarioSpec& proto,
                                            mem::PressureLevel state, int run,
@@ -224,8 +254,7 @@ std::vector<CellRunOutcome> run_warm_group(const scenario::ScenarioSpec& proto,
   std::size_t slot = 0;
   for (const int f : fps) {
     for (const int h : heights) {
-      outcomes[slot++] =
-          run_cell_cold(proto, state, h, f, group_seed, sweep_video_seed(group_seed, h, f));
+      outcomes[slot++] = run_cell_cold(proto, state, h, f, group_seed);
     }
   }
 #endif
@@ -236,20 +265,8 @@ std::vector<SweepCellResult> run_sweep_grid_shared(
     const scenario::ScenarioSpec& proto, const std::vector<mem::PressureLevel>& states,
     const std::vector<int>& fps, const std::vector<int>& heights, int runs, int jobs,
     std::uint64_t base_seed, SweepMode mode) {
-  std::vector<SweepCellResult> cells;
-  if (runs <= 0) return cells;
-  for (const auto state : states) {
-    for (const int f : fps) {
-      for (const int h : heights) {
-        SweepCellResult cell;
-        cell.height = h;
-        cell.fps = f;
-        cell.state = state;
-        cell.cell_seed = sweep_video_seed(sweep_group_seed(base_seed, state, 0), h, f);
-        cells.push_back(cell);
-      }
-    }
-  }
+  if (runs <= 0) return {};
+  std::vector<SweepCellResult> cells = empty_sweep_grid(states, fps, heights, base_seed);
   const auto cells_per_state = fps.size() * heights.size();
 
   // (cell-index, run) -> outcome, filled by either mode, reduced once.
@@ -258,7 +275,7 @@ std::vector<SweepCellResult> run_sweep_grid_shared(
     return cell_index * static_cast<std::size_t>(runs) + static_cast<std::size_t>(run);
   };
 
-  if (mode == SweepMode::Warm && warm_fork_supported()) {
+  if (mode == SweepMode::Warm && fork_supported()) {
     const int workers = resolve_jobs(jobs);
     for (std::size_t s = 0; s < states.size(); ++s) {
       for (int run = 0; run < runs; ++run) {
@@ -277,17 +294,11 @@ std::vector<SweepCellResult> run_sweep_grid_shared(
       const std::size_t cell_index = task / static_cast<std::size_t>(runs);
       const int run = static_cast<int>(task % static_cast<std::size_t>(runs));
       const SweepCellResult& cell = cells[cell_index];
-      const std::uint64_t group_seed = sweep_group_seed(base_seed, cell.state, run);
-      scenario::ScenarioSpec spec = proto;
-      scenario::VideoWorkloadSpec& video = scenario::video_spec(spec);
-      video.height = cell.height;
-      video.fps = cell.fps;
-      spec.state = cell.state;
-      spec.world_seed = group_seed;
-      const std::uint64_t video_seed = sweep_video_seed(group_seed, cell.height, cell.fps);
-      spec.seed = video_seed;
-      video.seed = video_seed;
-      return scenario::run_scenario(spec).sessions.at(0).result.outcome;
+      return scenario::run_scenario(
+                 cold_cell_spec(proto, cell.state, cell.height, cell.fps,
+                                sweep_group_seed(base_seed, cell.state, run)))
+          .sessions.at(0)
+          .result.outcome;
     });
     for (std::size_t task = 0; task < result.runs.size(); ++task) {
       CellRunOutcome& out = outcomes[task];  // same cell-major layout

@@ -47,12 +47,17 @@ std::uint64_t sweep_video_seed(std::uint64_t group_seed, int height, int fps) no
 
 enum class SweepMode {
   Cold,  // every (cell, run) simulated from boot on the thread pool
-  Warm,  // one prepared world per (state, run) group, cells forked from it
+  Warm,  // one prepared world per (state, run) group, cells forked from it;
+         // degrades to Cold (same results) when !fork_supported()
 };
 
-/// True when the platform supports the fork-based warm path; when false,
-/// Warm silently degrades to Cold (same results either way).
-bool warm_fork_supported() noexcept;
+/// The empty state-major grid run_sweep_grid_shared and the sweep and
+/// compare campaigns fill: one cell per (state, fps, height), cell_seed
+/// the run-0 video seed.
+std::vector<SweepCellResult> empty_sweep_grid(const std::vector<mem::PressureLevel>& states,
+                                              const std::vector<int>& fps,
+                                              const std::vector<int>& heights,
+                                              std::uint64_t base_seed);
 
 /// Prepare the (state, run) group's shared world once and run every
 /// (fps, height) cell's video phase from it — each cell in a forked

@@ -171,35 +171,25 @@ TEST(FleetPopulation, WorldSeedsDisjointFromDeviceStreams) {
 
 TEST(FleetUnit, PayloadIsPureFunctionOfSpecAndUnit) {
   const fleet::FleetSpec spec = tiny_spec();
-  EXPECT_EQ(fleet::run_fleet_unit(spec, 0, false), fleet::run_fleet_unit(spec, 0, false));
-  EXPECT_NE(fleet::run_fleet_unit(spec, 0, false), fleet::run_fleet_unit(spec, 1, false));
+  EXPECT_EQ(fleet::run_fleet_unit(spec, 0), fleet::run_fleet_unit(spec, 0));
+  EXPECT_NE(fleet::run_fleet_unit(spec, 0), fleet::run_fleet_unit(spec, 1));
 }
 
 TEST(FleetUnit, LastShardCoversTheRemainder) {
   const fleet::FleetSpec spec = tiny_spec();
   const fleet::FleetAggregate last =
-      fleet::FleetAggregate::decode(fleet::run_fleet_unit(spec, 5, false));
+      fleet::FleetAggregate::decode(fleet::run_fleet_unit(spec, 5));
   EXPECT_EQ(last.device_count, 10u);  // 90 - 5 * 16
   const fleet::FleetAggregate full =
-      fleet::FleetAggregate::decode(fleet::run_fleet_unit(spec, 0, false));
+      fleet::FleetAggregate::decode(fleet::run_fleet_unit(spec, 0));
   EXPECT_EQ(full.device_count, 16u);
 }
-
-#if MVQOE_TEST_FORK
-TEST(FleetUnit, WarmForkMatchesColdBitForBit) {
-  const fleet::FleetSpec spec = tiny_spec();
-  for (std::uint64_t unit : {std::uint64_t{0}, std::uint64_t{5}}) {
-    EXPECT_EQ(fleet::run_fleet_unit(spec, unit, true), fleet::run_fleet_unit(spec, unit, false))
-        << "unit " << unit;
-  }
-}
-#endif
 
 // --- Aggregate --------------------------------------------------------------
 
 TEST(FleetAggregate, EncodeDecodeRoundTripsExactly) {
   const fleet::FleetSpec spec = tiny_spec();
-  const std::string bytes = fleet::run_fleet_unit(spec, 2, false);
+  const std::string bytes = fleet::run_fleet_unit(spec, 2);
   const fleet::FleetAggregate agg = fleet::FleetAggregate::decode(bytes);
   EXPECT_EQ(agg.encode(), bytes);
   EXPECT_EQ(fleet::FleetAggregate::decode(agg.encode()).digest(), agg.digest());
@@ -211,7 +201,7 @@ TEST(FleetAggregate, AscendingMergeOfShardsMatchesFullRun) {
   const fleet::FleetSpec spec = tiny_spec();
   fleet::FleetAggregate merged;
   for (std::uint64_t unit = 0; unit < fleet::fleet_total_units(spec); ++unit) {
-    merged.merge(fleet::FleetAggregate::decode(fleet::run_fleet_unit(spec, unit, false)));
+    merged.merge(fleet::FleetAggregate::decode(fleet::run_fleet_unit(spec, unit)));
   }
   const fleet::FleetRunResult serial = fleet::run_fleet(spec, fast_options());
   ASSERT_TRUE(serial.complete);
@@ -224,7 +214,7 @@ TEST(FleetAggregate, AscendingMergeOfShardsMatchesFullRun) {
 TEST(FleetAggregate, BlobRoundTripsConfigAndAggregate) {
   const fleet::FleetSpec spec = tiny_spec();
   fleet::FleetAggregate agg =
-      fleet::FleetAggregate::decode(fleet::run_fleet_unit(spec, 0, false));
+      fleet::FleetAggregate::decode(fleet::run_fleet_unit(spec, 0));
   const snapshot::Snapshot blob = fleet::save_fleet_blob(spec, agg);
   const snapshot::Snapshot reparsed = snapshot::Snapshot::parse(blob.serialize());
   const auto [spec2, agg2] = fleet::load_fleet_blob(reparsed);

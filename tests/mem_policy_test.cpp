@@ -398,6 +398,26 @@ TEST(PolicyCompare, BaselineLaneMatchesPlainSweepByteForByte) {
           << result.lanes[a].policy.name << " vs " << result.lanes[b].policy.name;
     }
   }
+
+  // A one-policy compare is the plain sweep, digest included — on the
+  // default link and on a non-default one (every lane honours base.net).
+  campaign::PolicyCompareSpec single;
+  single.base = base;
+  single.policies = {base.mem_policy};
+  EXPECT_EQ(campaign::run_policy_compare(single, campaign::CampaignOptions{}).digest,
+            plain.digest);
+
+  single.base.net.cc = "cubic";
+  const campaign::PolicyCompareResult cubic_compare =
+      campaign::run_policy_compare(single, campaign::CampaignOptions{});
+  const campaign::SweepCampaignResult cubic_sweep =
+      campaign::run_sweep_campaign(single.base, campaign::CampaignOptions{});
+  ASSERT_TRUE(cubic_compare.campaign.complete);
+  ASSERT_TRUE(cubic_sweep.campaign.complete);
+  EXPECT_NE(cubic_sweep.digest, plain.digest);  // the link reaches the grid
+  EXPECT_EQ(cubic_compare.digest, cubic_sweep.digest);
+  EXPECT_EQ(runner::sweep_json("lane", cubic_compare.lanes[0].cells, base.runs, 1, base.seed),
+            runner::sweep_json("lane", cubic_sweep.cells, base.runs, 1, base.seed));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string>
 
+#include "runner/ipc.hpp"
 #include "runner/warm_sweep.hpp"
 #include "scenario/spec.hpp"
 #include "snapshot/blob.hpp"
@@ -182,7 +183,7 @@ TEST(Replay, GoldenBlobReplaysDigestIdentical) {
 }
 
 TEST(WarmSweep, ForkedWarmMatchesColdByteForByte) {
-  if (!runner::warm_fork_supported()) GTEST_SKIP() << "no fork on this platform";
+  if (!runner::fork_supported()) GTEST_SKIP() << "no fork on this platform";
   scenario::ScenarioSpec proto;
   proto.family.clear();
   proto.device_override = core::nokia1();

@@ -1,22 +1,22 @@
 // mvqoe_fleet — million-device fleet simulation (DESIGN.md §15).
 //
 //   mvqoe_fleet run [--devices N] [--seed N] [--session-s S]
+//                   [--policy NAME] [--cc NAME]
 //                   [--sample-period S] [--warmup-s S] [--shard-size N]
-//                   [--jobs N] [--procs N] [--warm] [--state FILE]
+//                   [--jobs N] [--procs N] [--state FILE]
 //                   [--retries N] [--heartbeat-ms N]
 //                   [--save FILE] [--report FILE] [--progress]
 //       Drive `devices` simulated device-sessions sampled from the
 //       study population model (device family x usage cohort), reduced
 //       shard by shard into one streaming FleetAggregate — peak memory
-//       is O(shard), not O(fleet). The report digest is byte-identical
-//       across serial, --jobs N threads, --procs N supervised worker
-//       processes and kill-and-resume; --warm forks each device from a
-//       prepared per-(family, cohort) world template and is
-//       bit-identical to the cold path. --save bundles (config,
-//       aggregate) as an MVQS blob; --report writes the Figs 2-6
+//       is O(shard), not O(fleet). Every device rebuilds its
+//       (family, cohort) world in-process. The report digest is
+//       byte-identical across serial, --jobs N threads, --procs N
+//       supervised worker processes and kill-and-resume. --save bundles
+//       (config, aggregate) as an MVQS blob; --report writes the Figs 2-6
 //       report JSON.
 //
-//   mvqoe_fleet resume FILE [--procs N] [--jobs N] [--warm]
+//   mvqoe_fleet resume FILE [--procs N] [--jobs N]
 //                   [--save FILE] [--report FILE] [--progress]
 //       Resume a killed run from its campaign checkpoint. The fleet
 //       config is reconstructed from the blob (a checkpoint recorded
@@ -48,10 +48,10 @@ int usage() {
                "usage: mvqoe_fleet run [--devices N] [--seed N] [--session-s S]\n"
                "                       [--policy NAME] [--cc NAME]\n"
                "                       [--sample-period S] [--warmup-s S] [--shard-size N]\n"
-               "                       [--jobs N] [--procs N] [--warm] [--state FILE]\n"
+               "                       [--jobs N] [--procs N] [--state FILE]\n"
                "                       [--retries N] [--heartbeat-ms N]\n"
                "                       [--save FILE] [--report FILE] [--progress]\n"
-               "       mvqoe_fleet resume FILE [--procs N] [--jobs N] [--warm]\n"
+               "       mvqoe_fleet resume FILE [--procs N] [--jobs N]\n"
                "                       [--save FILE] [--report FILE] [--progress]\n"
                "       mvqoe_fleet report FILE [--out FILE]\n"
                "--progress paints a devices done/total + devices/sec + ETA line on stderr\n");
@@ -115,8 +115,6 @@ Args parse_args(int argc, char** argv) {
       args.opts.jobs = std::atoi(value(i));
     } else if (is_flag(i, "--procs")) {
       args.opts.procs = std::atoi(value(i));
-    } else if (std::strcmp(argv[i], "--warm") == 0) {
-      args.opts.warm = true;
     } else if (is_flag(i, "--state")) {
       args.opts.state_path = value(i);
     } else if (is_flag(i, "--retries")) {
