@@ -41,7 +41,7 @@ struct LaneResult {
 LaneResult best_of(const fleet::FleetSpec& spec, int reps) {
   LaneResult best;
   for (int r = 0; r < reps; ++r) {
-    const fleet::FleetRunResult result = fleet::run_fleet(spec, fleet::FleetRunOptions{});
+    const fleet::FleetRunResult result = fleet::run_fleet(spec, campaign::CampaignOptions{});
     if (result.devices_per_sec > best.devices_per_sec) {
       best.devices_per_sec = result.devices_per_sec;
       best.wall_s = result.wall_s;

@@ -115,12 +115,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (r == 0) {
-      digest = result.digest;
+      digest = result.campaign.digest;
       lanes.clear();
       for (const campaign::PolicyLane& lane : result.lanes) {
         lanes.push_back(summarize(lane, spec.base.runs, spec.base.seed));
       }
-    } else if (result.digest != digest) {
+    } else if (result.campaign.digest != digest) {
       digest_stable = false;
     }
     const double groups_per_sec = static_cast<double>(groups) / wall_s;

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,5 +69,17 @@ CheckpointState load_checkpoint(const snapshot::Snapshot& blob);
 /// the path and a parse-level reason on truncated or garbage input.
 bool write_checkpoint_file(const std::string& path, const CheckpointState& state);
 CheckpointState read_checkpoint_file(const std::string& path);
+
+/// Decode the config a checkpoint file was recorded under (--resume
+/// without re-specifying the campaign); decode errors carry the path.
+template <typename Decode>
+auto read_checkpoint_config(const std::string& path, Decode decode) {
+  const CheckpointState state = read_checkpoint_file(path);
+  try {
+    return decode(state.config);
+  } catch (const std::exception& e) {
+    throw std::runtime_error("campaign: " + path + ": " + e.what());
+  }
+}
 
 }  // namespace mvqoe::campaign

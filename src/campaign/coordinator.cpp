@@ -4,12 +4,14 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
 #include "runner/batch.hpp"
 #include "runner/ipc.hpp"
+#include "snapshot/digest.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <cerrno>
@@ -61,24 +63,58 @@ struct Shard {
   bool failed = false;
 };
 
-}  // namespace
+bool interrupt_raised(const CampaignOptions& opts) {
+  return opts.interrupt != nullptr && *opts.interrupt != 0;
+}
 
-CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
-                            const CampaignOptions& opts) {
-  if (opts.shard_size == 0) throw std::invalid_argument("campaign: shard_size must be >= 1");
-  if (opts.max_attempts < 1) throw std::invalid_argument("campaign: max_attempts must be >= 1");
+/// The in-process lane: units on runner::run_batch threads, progress
+/// serialised under a mutex, no new unit started once the interrupt
+/// flag is up. A unit that throws becomes a one-unit Failed outcome.
+void run_in_process(std::uint64_t total_units, const UnitFn& fn, const CampaignOptions& opts,
+                    CampaignResult& result) {
+  std::mutex progress_mutex;
+  std::uint64_t units_done = 0;
+  std::vector<char> skipped(total_units, 0);
+  auto batch = runner::run_batch(
+      static_cast<std::size_t>(total_units), opts.jobs, [&](std::size_t unit) {
+        if (interrupt_raised(opts)) {
+          skipped[unit] = 1;
+          throw std::runtime_error("campaign: interrupted");
+        }
+        std::string payload = fn(unit);
+        if (opts.progress) {
+          const std::lock_guard<std::mutex> lock(progress_mutex);
+          opts.progress(++units_done, total_units);
+        }
+        return payload;
+      });
+  for (std::size_t unit = 0; unit < batch.runs.size(); ++unit) {
+    auto& slot = batch.runs[unit];
+    result.payloads[unit] = std::move(slot.value);
+    result.completed[unit] = slot.ok;
+    if (!slot.ok && skipped[unit] == 0) {
+      ShardOutcome outcome;
+      outcome.first_unit = unit;
+      outcome.unit_count = 1;
+      outcome.attempts = 1;
+      outcome.status = ShardStatus::Failed;
+      outcome.error = "unit threw: " + slot.error;
+      result.shards.push_back(std::move(outcome));
+    }
+  }
+  result.interrupted = interrupt_raised(opts);
+}
 
-  CampaignResult result;
-  result.procs_used = opts.procs > 0 ? opts.procs : runner::resolve_jobs(0);
-  result.payloads.resize(total_units);
-  result.completed.assign(total_units, false);
-
+/// The supervised lane: sharded worker processes, checkpoints, resume.
+void run_supervised(std::uint64_t total_units, const UnitFn& fn, const CampaignOptions& opts,
+                    CampaignResult& result) {
+  const std::uint64_t fingerprint = snapshot::digest_bytes(opts.config);
   if (opts.resume) {
     if (opts.state_path.empty()) {
       throw std::invalid_argument("campaign: resume requires a checkpoint path");
     }
     CheckpointState state = read_checkpoint_file(opts.state_path);
-    if (state.fingerprint != opts.fingerprint) {
+    if (state.fingerprint != fingerprint) {
       throw std::runtime_error("campaign: " + opts.state_path +
                                " was recorded under a different campaign configuration "
                                "(fingerprint mismatch) — refusing to resume");
@@ -126,7 +162,7 @@ CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
   const auto flush_checkpoint = [&](bool progress) {
     if (opts.state_path.empty()) return;
     CheckpointState state;
-    state.fingerprint = opts.fingerprint;
+    state.fingerprint = fingerprint;
     state.config = opts.config;
     state.total_units = total_units;
     for (std::uint64_t i = 0; i < total_units; ++i) {
@@ -164,7 +200,7 @@ CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
   // still leaves a resumable (empty) state file.
   if (!opts.resume) flush_checkpoint(false);
 
-  const auto interrupted = [&] { return opts.interrupt != nullptr && *opts.interrupt != 0; };
+  const auto interrupted = [&] { return interrupt_raised(opts); };
 
 #if MVQOE_CAMPAIGN_FORK
   struct Worker {
@@ -479,10 +515,36 @@ CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
     flush_checkpoint(true);
   }
 #endif
+}
+
+}  // namespace
+
+CampaignResult run_campaign(std::uint64_t total_units, const UnitFn& fn,
+                            const CampaignOptions& opts) {
+  if (opts.shard_size == 0) throw std::invalid_argument("campaign: shard_size must be >= 1");
+  if (opts.max_attempts < 1) throw std::invalid_argument("campaign: max_attempts must be >= 1");
+
+  CampaignResult result;
+  result.payloads.resize(total_units);
+  result.completed.assign(total_units, false);
+  if (opts.procs == 0 && opts.state_path.empty() && !opts.resume) {
+    run_in_process(total_units, fn, opts, result);
+  } else {
+    result.procs_used = std::max(opts.procs, 1);
+    run_supervised(total_units, fn, opts, result);
+  }
 
   result.units_done = static_cast<std::uint64_t>(
       std::count(result.completed.begin(), result.completed.end(), true));
   result.complete = result.units_done == total_units;
+  if (result.complete) {
+    snapshot::StateHash digest;
+    for (std::uint64_t unit = 0; unit < total_units; ++unit) {
+      digest.mix(unit);
+      digest.mix_bytes(result.payloads[unit]);
+    }
+    result.digest = digest.value();
+  }
   return result;
 }
 

@@ -1,19 +1,21 @@
-// Multi-process fuzz campaigns: check/harness fuzzing on top of the
-// campaign coordinator (DESIGN.md §13).
+// Fuzz campaigns: check/harness fuzzing through campaign::run_campaign
+// (DESIGN.md §12, §13).
 //
-// One campaign unit = one fuzz run. The worker executes
-// check::execute_fuzz_run and ships the encoded RunRecord back as the
-// unit payload; the coordinator checkpoints payloads per shard, so a
-// killed campaign resumes with the completed runs' records intact and
-// the final summary — including the jobs-invariant digest — is
-// byte-identical to an uninterrupted serial run.
+// One campaign unit = one fuzz run. The unit function executes
+// check::execute_fuzz_run and returns the encoded RunRecord as the
+// unit payload, in whichever lane run_campaign picks: in-process
+// threads, or supervised worker processes whose payloads are
+// checkpointed per shard, so a killed campaign resumes with the
+// completed runs' records intact. Either way the final summary —
+// including the jobs-invariant record digest — is byte-identical to
+// the serial check::run_fuzz.
 //
 // The checkpoint stores the canonical encoding of the FuzzOptions that
 // produced it (minus --jobs/--procs, which may legally differ between
-// the original and resumed invocations) plus its fingerprint; --resume
-// reconstructs the options from the blob and refuses fingerprint
-// mismatches, so a checkpoint can never silently continue under a
-// different campaign configuration.
+// the original and resumed invocations); --resume reconstructs the
+// options from the blob, and the coordinator refuses a checkpoint whose
+// config fingerprint differs, so a checkpoint can never silently
+// continue under a different campaign configuration.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +32,6 @@ namespace mvqoe::campaign {
 std::string encode_fuzz_config(const check::FuzzOptions& opts);
 check::FuzzOptions decode_fuzz_config(const std::string& bytes);
 
-/// StateHash over the canonical encoding.
-std::uint64_t fuzz_config_fingerprint(const check::FuzzOptions& opts);
-
 /// Read a checkpoint file and reconstruct the FuzzOptions it was
 /// recorded under (for --resume without re-specifying flags). Throws
 /// with a path-prefixed diagnostic on missing/corrupt checkpoints.
@@ -46,9 +45,9 @@ struct FuzzCampaignResult {
   CampaignResult campaign;
 };
 
-/// Run (or resume) a fuzz campaign under the coordinator.
-/// `campaign.config` / `campaign.fingerprint` are filled in from
-/// `fuzz`; `fuzz.jobs` is ignored.
+/// Run (or resume) a fuzz campaign through run_campaign.
+/// `campaign.config` is filled in from `fuzz`; `fuzz.jobs` is ignored
+/// (`campaign.jobs` sizes the in-process lane).
 FuzzCampaignResult run_fuzz_campaign(const check::FuzzOptions& fuzz, CampaignOptions campaign);
 
 }  // namespace mvqoe::campaign

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "snapshot/bytes.hpp"
-#include "snapshot/digest.hpp"
 
 namespace mvqoe::campaign {
 
@@ -60,6 +59,12 @@ void validate_grid(const SweepCampaignSpec& base, const std::vector<mem::MemPoli
   if (base.duration_s <= 0) {
     throw std::invalid_argument("campaign: sweep duration must be >= 1s");
   }
+  for (const int fps : base.fps) {
+    if (fps <= 0) throw std::invalid_argument("campaign: sweep fps must be >= 1");
+  }
+  for (const int height : base.heights) {
+    if (height <= 0) throw std::invalid_argument("campaign: sweep heights must be >= 1");
+  }
   if (policies.empty()) {
     throw std::invalid_argument("campaign: compare needs at least one policy");
   }
@@ -71,6 +76,9 @@ GridCampaignResult run_grid_campaign(const SweepCampaignSpec& base,
                                      const std::vector<mem::MemPolicySpec>& policies,
                                      const CampaignOptions& campaign) {
   validate_grid(base, policies);
+  if (campaign.jobs != 1) {
+    throw std::invalid_argument("campaign: grid groups fork(); run them serially or with procs");
+  }
   std::vector<scenario::ScenarioSpec> protos;
   protos.reserve(policies.size());
   for (const mem::MemPolicySpec& policy : policies) {
@@ -97,7 +105,6 @@ GridCampaignResult run_grid_campaign(const SweepCampaignSpec& base,
                       runner::empty_sweep_grid(base.states, base.fps, base.heights, base.seed));
 
   const std::size_t cells_per_state = base.fps.size() * base.heights.size();
-  snapshot::StateHash digest;
   for (std::size_t unit = 0; unit < result.campaign.payloads.size(); ++unit) {
     const std::uint64_t group = unit % groups_per_lane;
     runner::SweepCellResult* cells =
@@ -108,8 +115,6 @@ GridCampaignResult run_grid_campaign(const SweepCampaignSpec& base,
       for (std::size_t c = 0; c < cells_per_state; ++c) ++cells[c].failures;
       continue;
     }
-    digest.mix(unit);
-    digest.mix_bytes(result.campaign.payloads[unit]);
     const std::vector<runner::CellRunOutcome> group_outcomes =
         decode_group(result.campaign.payloads[unit], cells_per_state, unit);
     for (std::size_t c = 0; c < cells_per_state; ++c) {
@@ -120,7 +125,6 @@ GridCampaignResult run_grid_campaign(const SweepCampaignSpec& base,
       }
     }
   }
-  result.digest = result.campaign.complete ? digest.value() : 0;
   return result;
 }
 

@@ -23,19 +23,18 @@ struct GridCampaignResult {
   /// One state-major grid per lane; a degraded campaign counts the
   /// missing groups' runs as failures in their cells.
   std::vector<std::vector<runner::SweepCellResult>> lanes;
-  /// Order-sensitive digest over (unit, payload) of the completed
-  /// units; 0 unless the campaign is complete.
-  std::uint64_t digest = 0;
   CampaignResult campaign;
 };
 
 /// Throws std::invalid_argument unless `base` is a non-empty grid
-/// (runs, duration >= 1) on a valid link and there is at least one
-/// policy, each valid. `base.mem_policy` is not checked.
+/// (runs, duration, every fps and height >= 1) on a valid link and
+/// there is at least one policy, each valid. `base.mem_policy` is not
+/// checked.
 void validate_grid(const SweepCampaignSpec& base, const std::vector<mem::MemPolicySpec>& policies);
 
-/// Validate, run every unit under the coordinator and reduce.
-/// `campaign.config` / `campaign.fingerprint` are the caller's.
+/// Validate, run every unit through run_campaign and reduce.
+/// `campaign.config` is the caller's. Rejects `campaign.jobs != 1`: warm
+/// groups fork() and must not run on runner::run_batch threads.
 GridCampaignResult run_grid_campaign(const SweepCampaignSpec& base,
                                      const std::vector<mem::MemPolicySpec>& policies,
                                      const CampaignOptions& campaign);

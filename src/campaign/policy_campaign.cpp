@@ -5,7 +5,6 @@
 
 #include "campaign/grid_campaign.hpp"
 #include "snapshot/bytes.hpp"
-#include "snapshot/digest.hpp"
 
 namespace mvqoe::campaign {
 
@@ -48,30 +47,17 @@ PolicyCompareSpec decode_policy_config(const std::string& bytes) {
   return spec;
 }
 
-std::uint64_t policy_config_fingerprint(const PolicyCompareSpec& spec) {
-  snapshot::StateHash hash;
-  hash.mix_bytes(encode_policy_config(spec));
-  return hash.value();
-}
-
 PolicyCompareSpec load_policy_resume_config(const std::string& path) {
-  const CheckpointState state = read_checkpoint_file(path);
-  try {
-    return decode_policy_config(state.config);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("campaign: " + path + ": " + e.what());
-  }
+  return read_checkpoint_config(path, decode_policy_config);
 }
 
 PolicyCompareResult run_policy_compare(const PolicyCompareSpec& spec, CampaignOptions campaign) {
   campaign.config = encode_policy_config(spec);
-  campaign.fingerprint = policy_config_fingerprint(spec);
   GridCampaignResult grid = run_grid_campaign(spec.base, spec.policies, campaign);
   PolicyCompareResult result;
   for (std::size_t lane = 0; lane < spec.policies.size(); ++lane) {
     result.lanes.push_back({spec.policies[lane], std::move(grid.lanes[lane])});
   }
-  result.digest = grid.digest;
   result.campaign = std::move(grid.campaign);
   return result;
 }

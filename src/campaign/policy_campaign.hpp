@@ -1,5 +1,5 @@
 // Policy-compare campaigns: the "what if Android did X" experiment
-// (DESIGN.md §16) on top of the campaign coordinator.
+// (DESIGN.md §16) through campaign::run_campaign.
 //
 // A compare runs the SAME warm-start sweep grid once per memory policy,
 // through the sweep campaign's own lane-major runner
@@ -33,12 +33,10 @@ struct PolicyCompareSpec {
 /// where G = sweep_total_units(base).
 std::uint64_t policy_total_units(const PolicyCompareSpec& spec);
 
-/// Canonical wire encoding (checkpoint config) and its fingerprint.
-/// base.group_workers is excluded (parallelism knob, free to differ
-/// across resumes).
+/// Canonical wire encoding (checkpoint config). base.group_workers is
+/// excluded (parallelism knob, free to differ across resumes).
 std::string encode_policy_config(const PolicyCompareSpec& spec);
 PolicyCompareSpec decode_policy_config(const std::string& bytes);
-std::uint64_t policy_config_fingerprint(const PolicyCompareSpec& spec);
 
 /// Read a checkpoint file and reconstruct the compare spec it was
 /// recorded under (--resume without re-specifying the grid).
@@ -55,13 +53,12 @@ struct PolicyCompareResult {
   /// `campaign.complete`; a degraded campaign counts the missing
   /// groups' runs as failures in their cells.
   std::vector<PolicyLane> lanes;
-  /// Order-sensitive digest over the completed unit payloads.
-  std::uint64_t digest = 0;
+  /// `campaign.digest` is the compare digest.
   CampaignResult campaign;
 };
 
-/// Run (or resume) the compare under the coordinator.
-/// `campaign.config` / `campaign.fingerprint` are filled in from `spec`.
+/// Run (or resume) the compare through run_campaign.
+/// `campaign.config` is filled in from `spec`; `campaign.jobs` must be 1.
 PolicyCompareResult run_policy_compare(const PolicyCompareSpec& spec, CampaignOptions campaign);
 
 }  // namespace mvqoe::campaign

@@ -5,7 +5,6 @@
 
 #include "campaign/grid_campaign.hpp"
 #include "snapshot/bytes.hpp"
-#include "snapshot/digest.hpp"
 
 namespace mvqoe::campaign {
 
@@ -76,26 +75,14 @@ SweepCampaignSpec decode_sweep_config(const std::string& bytes) {
   return spec;
 }
 
-std::uint64_t sweep_config_fingerprint(const SweepCampaignSpec& spec) {
-  snapshot::StateHash hash;
-  hash.mix_bytes(encode_sweep_config(spec));
-  return hash.value();
-}
-
 SweepCampaignSpec load_sweep_resume_config(const std::string& path) {
-  const CheckpointState state = read_checkpoint_file(path);
-  try {
-    return decode_sweep_config(state.config);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("campaign: " + path + ": " + e.what());
-  }
+  return read_checkpoint_config(path, decode_sweep_config);
 }
 
 SweepCampaignResult run_sweep_campaign(const SweepCampaignSpec& spec, CampaignOptions campaign) {
   campaign.config = encode_sweep_config(spec);
-  campaign.fingerprint = sweep_config_fingerprint(spec);
   GridCampaignResult grid = run_grid_campaign(spec, {spec.mem_policy}, campaign);
-  return {std::move(grid.lanes.front()), grid.digest, std::move(grid.campaign)};
+  return {std::move(grid.lanes.front()), std::move(grid.campaign)};
 }
 
 }  // namespace mvqoe::campaign

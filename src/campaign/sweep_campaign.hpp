@@ -1,15 +1,14 @@
-// Multi-process sweep campaigns: warm-start sweep grids on top of the
-// campaign coordinator (DESIGN.md §13).
+// Sweep campaigns: warm-start sweep grids through campaign::run_campaign
+// (DESIGN.md §13), serial in-process or in supervised worker processes.
 //
 // One campaign unit = one (pressure state, run) warm-sweep group — the
 // same unit the warm-start path already forks from one prepared world
-// (runner::run_warm_group), so a campaign worker inherits the CoW
-// machinery wholesale: the worker prepares the group's shared world
-// once and forks its (fps, height) cells from it. The unit payload is
-// the group's encoded CellRunOutcome vector; merging payloads in unit
-// order reproduces run_sweep_grid_shared's grid exactly, so a resumed
-// campaign's BENCH json and digest match an uninterrupted run byte for
-// byte.
+// (runner::run_warm_group), so the unit inherits the CoW machinery
+// wholesale: it prepares the group's shared world once and forks its
+// (fps, height) cells from it. The unit payload is the group's encoded
+// CellRunOutcome vector; merging payloads in unit order reproduces
+// run_sweep_grid_shared's grid exactly, so a resumed campaign's BENCH
+// json and digest match an uninterrupted run byte for byte.
 //
 // A sweep is a policy compare (campaign/policy_campaign) with one lane:
 // both run through campaign/grid_campaign.
@@ -53,12 +52,11 @@ struct SweepCampaignSpec {
 /// unit u -> (states[u / runs], run u % runs).
 std::uint64_t sweep_total_units(const SweepCampaignSpec& spec);
 
-/// Canonical wire encoding (checkpoint config) and its fingerprint.
-/// group_workers is excluded — like --jobs it may differ across
-/// resumes without changing the results.
+/// Canonical wire encoding (checkpoint config). group_workers is
+/// excluded — like --jobs it may differ across resumes without changing
+/// the results. The decoder applies validate_grid.
 std::string encode_sweep_config(const SweepCampaignSpec& spec);
 SweepCampaignSpec decode_sweep_config(const std::string& bytes);
-std::uint64_t sweep_config_fingerprint(const SweepCampaignSpec& spec);
 
 /// Read a checkpoint file and reconstruct the sweep spec it was
 /// recorded under (--resume without re-specifying the grid).
@@ -70,13 +68,13 @@ struct SweepCampaignResult {
   /// degraded campaign leaves the missing groups' runs counted as
   /// failures in their cells.
   std::vector<runner::SweepCellResult> cells;
-  /// Order-sensitive digest over the completed unit payloads.
-  std::uint64_t digest = 0;
+  /// `campaign.digest` is the sweep digest.
   CampaignResult campaign;
 };
 
-/// Run (or resume) the sweep grid under the coordinator.
-/// `campaign.config` / `campaign.fingerprint` are filled in from `spec`.
+/// Run (or resume) the sweep grid through run_campaign.
+/// `campaign.config` is filled in from `spec`; `campaign.jobs` must be 1
+/// (warm groups fork() and must not run on batch threads).
 SweepCampaignResult run_sweep_campaign(const SweepCampaignSpec& spec, CampaignOptions campaign);
 
 }  // namespace mvqoe::campaign

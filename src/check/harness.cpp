@@ -1,6 +1,5 @@
 #include "check/harness.hpp"
 
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -220,17 +219,8 @@ RunRecord decode_run_record(snapshot::ByteReader& r) {
 }
 
 FuzzSummary run_fuzz(const FuzzOptions& opts) {
-  std::mutex progress_mutex;
-  std::uint64_t runs_done = 0;
-  const auto batch =
-      runner::run_batch(static_cast<std::size_t>(opts.runs), opts.jobs, [&](std::size_t i) {
-        RunRecord record = execute_fuzz_run(opts, i);
-        if (opts.progress) {
-          const std::lock_guard<std::mutex> lock(progress_mutex);
-          opts.progress(++runs_done, static_cast<std::uint64_t>(opts.runs));
-        }
-        return record;
-      });
+  const auto batch = runner::run_batch(static_cast<std::size_t>(opts.runs), opts.jobs,
+                                       [&](std::size_t i) { return execute_fuzz_run(opts, i); });
   std::vector<RunRecord> records;
   records.reserve(batch.runs.size());
   for (const auto& slot : batch.runs) {

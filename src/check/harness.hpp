@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,10 +54,6 @@ struct FuzzOptions {
   /// the seeded failure-injection demo.
   int perturb_run = -1;
   sim::Time perturb_offset = sim::sec(2);
-  /// Display-only (runs_done, runs_total) hook, called as runs finish
-  /// (any worker thread, serialized by the harness). Not part of the
-  /// campaign config encoding — resume never sees it.
-  std::function<void(std::uint64_t, std::uint64_t)> progress;
 };
 
 struct FuzzFailure {
@@ -120,7 +115,9 @@ struct FuzzSummary {
 /// from a complete, index-ordered record sequence.
 FuzzSummary summarize_records(const FuzzOptions& opts, const std::vector<RunRecord>& records);
 
-/// Run i's world is generate_scenario(derive_seed(seed, i + 1)).
+/// Run i's world is generate_scenario(derive_seed(seed, i + 1)). The
+/// reference campaign on `jobs` threads; the tools run fuzz campaigns
+/// through campaign::run_fuzz_campaign, whose digest must equal this.
 FuzzSummary run_fuzz(const FuzzOptions& opts);
 
 // --- Repro blobs -------------------------------------------------------------

@@ -2,18 +2,16 @@
 //
 // One fleet unit = one shard of devices; its payload is the shard's
 // encoded FleetAggregate — a pure function of (spec, unit), exactly the
-// contract the campaign coordinator and the thread-pool batch runner
-// already guarantee for their payloads. run_fleet picks the execution
-// lane (serial / --jobs threads / --procs supervised processes /
-// resume) and then reduces the payloads identically in every lane:
-// decode and merge in ascending unit order. Byte-identical digests
-// across lanes are therefore a construction property, not a test hope —
-// but tests/fleet_test.cpp asserts them anyway.
+// contract campaign::run_campaign needs. run_fleet hands the units to
+// run_campaign, which picks the lane (serial / --jobs threads / --procs
+// supervised processes / resume), and then reduces the payloads
+// identically in every lane: decode and merge in ascending unit order.
+// Byte-identical digests across lanes are therefore a construction
+// property, not a test hope — but tests/fleet_test.cpp asserts them
+// anyway.
 #pragma once
 
-#include <csignal>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -23,30 +21,14 @@
 
 namespace mvqoe::fleet {
 
-struct FleetRunOptions {
-  /// Worker threads for the in-process lane (used when procs == 0 and
-  /// no checkpointing is requested). 1 = serial reference.
-  int jobs = 1;
-  /// Worker processes; > 0 (or a state_path/resume) engages the
-  /// campaign coordinator.
-  int procs = 0;
-  /// Campaign units per coordinator shard (crash-retry granularity).
-  std::size_t units_per_proc_shard = 2;
-  /// Campaign checkpoint file ("" = no checkpointing).
-  std::string state_path;
-  bool resume = false;
-  int max_attempts = 3;
-  int heartbeat_timeout_ms = 120000;
-  const volatile std::sig_atomic_t* interrupt = nullptr;
-  /// (devices_done, devices_total), called as shard payloads land.
-  std::function<void(std::uint64_t, std::uint64_t)> progress;
-  campaign::TestHooks hooks;
-};
+/// Only caller: mvbench/harness.cpp, which still names the old options
+/// struct. Tools, tests and benches use campaign::CampaignOptions.
+/// run_fleet reports `progress` in devices, not units.
+using FleetRunOptions = campaign::CampaignOptions;
 
 struct FleetRunResult {
   FleetAggregate aggregate;
-  /// Order-sensitive digest over (unit, payload) — the campaign digest.
-  /// 0 unless complete.
+  /// campaign.digest, kept by name for mvbench/harness.cpp.
   std::uint64_t digest = 0;
   bool complete = false;
   bool interrupted = false;
@@ -57,7 +39,8 @@ struct FleetRunResult {
   /// Peak RSS (MB) of this process and, in the procs lane, the largest
   /// worker — the O(shard) bound the fleet design promises.
   double peak_rss_mb = 0.0;
-  /// Filled in the coordinator lane; empty shards vector otherwise.
+  /// The campaign's shard history and checkpoint bookkeeping; its
+  /// payloads are moved out by the reduction.
   campaign::CampaignResult campaign;
 };
 
@@ -72,6 +55,8 @@ inline std::string run_fleet_unit(const FleetSpec& spec, std::uint64_t unit, boo
 }
 
 /// Run (or resume) the fleet and reduce to a single aggregate.
-FleetRunResult run_fleet(const FleetSpec& spec, const FleetRunOptions& opts);
+/// `opts.config` is filled in from `spec`; `opts.progress` receives
+/// (devices_done, devices_total).
+FleetRunResult run_fleet(const FleetSpec& spec, const campaign::CampaignOptions& opts);
 
 }  // namespace mvqoe::fleet

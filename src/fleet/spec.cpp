@@ -5,7 +5,6 @@
 
 #include "campaign/checkpoint.hpp"
 #include "snapshot/bytes.hpp"
-#include "snapshot/digest.hpp"
 
 namespace mvqoe::fleet {
 
@@ -68,19 +67,8 @@ FleetSpec decode_fleet_config(const std::string& bytes) {
   return spec;
 }
 
-std::uint64_t fleet_config_fingerprint(const FleetSpec& spec) {
-  snapshot::StateHash hash;
-  hash.mix_bytes(encode_fleet_config(spec));
-  return hash.value();
-}
-
 FleetSpec load_fleet_resume_spec(const std::string& path) {
-  const campaign::CheckpointState state = campaign::read_checkpoint_file(path);
-  try {
-    return decode_fleet_config(state.config);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("fleet: " + path + ": " + e.what());
-  }
+  return campaign::read_checkpoint_config(path, decode_fleet_config);
 }
 
 }  // namespace mvqoe::fleet

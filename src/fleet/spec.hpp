@@ -2,10 +2,10 @@
 //
 // A fleet run drives `devices` independent device-sessions and reduces
 // them into one streaming FleetAggregate. The spec holds only the
-// result-defining parameters: everything here is covered by the config
-// fingerprint, so a checkpoint can never silently resume under a
-// different population. Execution knobs (--jobs/--procs)
-// live in fleet::FleetRunOptions instead — like the sweep campaign's
+// result-defining parameters: everything here is in the config bytes the
+// campaign coordinator fingerprints, so a checkpoint can never silently
+// resume under a different population. Execution knobs (--jobs/--procs)
+// live in campaign::CampaignOptions instead — like the sweep campaign's
 // group_workers, they may change across resumes without changing a
 // single output byte.
 #pragma once
@@ -52,11 +52,10 @@ struct FleetSpec {
 /// indices [u*shard_size, min((u+1)*shard_size, devices)).
 std::uint64_t fleet_total_units(const FleetSpec& spec);
 
-/// Canonical wire encoding (campaign checkpoint config), its inverse,
-/// and the resume-guard fingerprint. Throws on malformed bytes.
+/// Canonical wire encoding (campaign checkpoint config) and its
+/// inverse. Throws on malformed bytes.
 std::string encode_fleet_config(const FleetSpec& spec);
 FleetSpec decode_fleet_config(const std::string& bytes);
-std::uint64_t fleet_config_fingerprint(const FleetSpec& spec);
 
 /// Read a campaign checkpoint and reconstruct the fleet spec it was
 /// recorded under (--resume without re-specifying the fleet).

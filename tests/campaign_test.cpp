@@ -1,12 +1,15 @@
-// Campaign subsystem tests (DESIGN.md §13): coordinator supervision
-// (crash retry, heartbeat kill, retry-budget degradation), kill-and-
-// resume checkpoint determinism, checkpoint/config round-trips and
-// corruption rejection, atomic file replacement, and sweep-campaign
-// parity with the in-process grid.
+// Campaign subsystem tests (DESIGN.md §13): the lane picker (in-process
+// threads and supervised processes agree on payloads and digest),
+// coordinator supervision (crash retry, heartbeat kill, retry-budget
+// degradation), kill-and-resume checkpoint determinism, checkpoint/config
+// round-trips and corruption rejection, atomic file replacement, and
+// sweep-campaign parity with the in-process grid.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "runner/ipc.hpp"
 #include "snapshot/atomic_file.hpp"
 #include "snapshot/blob.hpp"
+#include "snapshot/digest.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <signal.h>
@@ -65,6 +69,13 @@ campaign::CampaignOptions fast_options() {
   return opts;
 }
 
+/// The in-process lane: procs == 0, no checkpoint, `jobs` threads.
+campaign::CampaignOptions in_process_options(int jobs) {
+  campaign::CampaignOptions opts;
+  opts.jobs = jobs;
+  return opts;
+}
+
 check::FuzzOptions small_fuzz() {
   check::FuzzOptions opts;
   opts.seed = 11;
@@ -104,13 +115,62 @@ TEST(Coordinator, ZeroUnitsIsCompleteAndEmpty) {
 
 TEST(Coordinator, InterruptFlagStopsBeforeWork) {
   static volatile std::sig_atomic_t flag = 1;
-  auto opts = fast_options();
-  opts.interrupt = &flag;
-  const auto result = campaign::run_campaign(8, unit_payload, opts);
-  EXPECT_TRUE(result.interrupted);
-  EXPECT_FALSE(result.complete);
-  EXPECT_EQ(result.units_done, 0u);
+  for (auto opts : {fast_options(), in_process_options(2)}) {
+    opts.interrupt = &flag;
+    const auto result = campaign::run_campaign(8, unit_payload, opts);
+    EXPECT_TRUE(result.interrupted) << "procs=" << opts.procs;
+    EXPECT_FALSE(result.complete);
+    EXPECT_EQ(result.units_done, 0u);
+    EXPECT_EQ(result.digest, 0u);
+    // Skipped units are not failures.
+    EXPECT_TRUE(result.shards.empty());
+  }
 }
+
+TEST(Coordinator, InProcessLaneMatchesProcessLane) {
+  std::vector<std::uint64_t> progress;
+  auto serial_opts = in_process_options(1);
+  serial_opts.progress = [&](std::uint64_t done, std::uint64_t total) {
+    EXPECT_EQ(total, 13u);
+    progress.push_back(done);
+  };
+  const auto serial = campaign::run_campaign(13, unit_payload, serial_opts);
+  const auto threads = campaign::run_campaign(13, unit_payload, in_process_options(3));
+  auto procs_opts = fast_options();
+  procs_opts.procs = 2;
+  const auto procs = campaign::run_campaign(13, unit_payload, procs_opts);
+
+  ASSERT_TRUE(serial.complete);
+  ASSERT_TRUE(threads.complete);
+  ASSERT_TRUE(procs.complete);
+  EXPECT_EQ(serial.procs_used, 1);
+  EXPECT_EQ(procs.procs_used, 2);
+  EXPECT_TRUE(serial.shards.empty());  // no supervision in-process
+  EXPECT_EQ(serial.payloads, threads.payloads);
+  EXPECT_EQ(serial.payloads, procs.payloads);
+  EXPECT_NE(serial.digest, 0u);
+  EXPECT_EQ(serial.digest, threads.digest);
+  EXPECT_EQ(serial.digest, procs.digest);
+  std::vector<std::uint64_t> expected(13);
+  for (std::uint64_t i = 0; i < 13; ++i) expected[i] = i + 1;
+  EXPECT_EQ(progress, expected);
+
+  // A unit that throws degrades the in-process lane into a one-unit
+  // Failed outcome; the other units land.
+  const auto poisoned = [](std::uint64_t unit) -> std::string {
+    if (unit == 3) throw std::runtime_error("poisoned unit");
+    return unit_payload(unit);
+  };
+  const auto degraded = campaign::run_campaign(6, poisoned, in_process_options(2));
+  EXPECT_FALSE(degraded.complete);
+  EXPECT_EQ(degraded.units_done, 5u);
+  EXPECT_EQ(degraded.digest, 0u);
+  ASSERT_EQ(degraded.shards.size(), 1u);
+  EXPECT_EQ(degraded.shards[0].first_unit, 3u);
+  EXPECT_EQ(degraded.shards[0].status, campaign::ShardStatus::Failed);
+  EXPECT_NE(degraded.shards[0].error.find("poisoned unit"), std::string::npos);
+}
+
 
 #if MVQOE_TEST_FORK
 
@@ -245,14 +305,19 @@ TEST(Coordinator, ResumeRejectsFingerprintMismatch) {
   ScratchFile state("fingerprint");
   auto opts = fast_options();
   opts.state_path = state.path();
-  opts.fingerprint = 0x1111;
+  opts.config = "config-a";
   ASSERT_TRUE(campaign::run_campaign(4, unit_payload, opts).complete);
+  // The coordinator fingerprints the config bytes itself.
+  EXPECT_EQ(campaign::read_checkpoint_file(state.path()).fingerprint,
+            snapshot::digest_bytes("config-a"));
 
   auto resume_opts = fast_options();
   resume_opts.state_path = state.path();
   resume_opts.resume = true;
-  resume_opts.fingerprint = 0x2222;
+  resume_opts.config = "config-b";
   EXPECT_THROW(campaign::run_campaign(4, unit_payload, resume_opts), std::runtime_error);
+  resume_opts.config = "config-a";
+  EXPECT_TRUE(campaign::run_campaign(4, unit_payload, resume_opts).complete);
 }
 
 TEST(Coordinator, ResumeRejectsUnitCountMismatch) {
@@ -410,29 +475,28 @@ TEST(FuzzCampaign, ConfigRoundTripsAndFingerprints) {
   EXPECT_EQ(decoded.check.meta_determinism, opts.check.meta_determinism);
   EXPECT_EQ(decoded.check.perturb_at, opts.check.perturb_at);
   EXPECT_EQ(decoded.perturb_run, opts.perturb_run);
-  EXPECT_EQ(campaign::fuzz_config_fingerprint(decoded),
-            campaign::fuzz_config_fingerprint(opts));
-  // The parallelism knob is deliberately outside the fingerprint.
+  const std::string bytes = campaign::encode_fuzz_config(opts);
+  EXPECT_EQ(campaign::encode_fuzz_config(decoded), bytes);
+  // The parallelism knob is deliberately outside the config.
   check::FuzzOptions other_jobs = opts;
   other_jobs.jobs = 16;
-  EXPECT_EQ(campaign::fuzz_config_fingerprint(other_jobs),
-            campaign::fuzz_config_fingerprint(opts));
+  EXPECT_EQ(campaign::encode_fuzz_config(other_jobs), bytes);
   check::FuzzOptions other_seed = opts;
   other_seed.seed = 999;
-  EXPECT_NE(campaign::fuzz_config_fingerprint(other_seed),
-            campaign::fuzz_config_fingerprint(opts));
+  EXPECT_NE(campaign::encode_fuzz_config(other_seed), bytes);
 }
 
 TEST(FuzzCampaign, DigestMatchesInProcessPool) {
   const check::FuzzOptions opts = small_fuzz();
   const check::FuzzSummary serial = check::run_fuzz(opts);
 
-  auto copts = fast_options();
-  const auto result = campaign::run_fuzz_campaign(opts, copts);
-  ASSERT_TRUE(result.campaign.complete);
-  EXPECT_EQ(result.summary.digest, serial.digest);
-  EXPECT_EQ(result.summary.failed, serial.failed);
-  EXPECT_EQ(result.summary.runs, serial.runs);
+  for (const auto& copts : {fast_options(), in_process_options(3)}) {
+    const auto result = campaign::run_fuzz_campaign(opts, copts);
+    ASSERT_TRUE(result.campaign.complete) << "procs=" << copts.procs;
+    EXPECT_EQ(result.summary.digest, serial.digest);
+    EXPECT_EQ(result.summary.failed, serial.failed);
+    EXPECT_EQ(result.summary.runs, serial.runs);
+  }
 }
 
 #if MVQOE_TEST_FORK
@@ -552,8 +616,35 @@ TEST(SweepCampaign, ConfigRoundTrips) {
   EXPECT_EQ(decoded.heights, spec.heights);
   EXPECT_EQ(decoded.runs, spec.runs);
   EXPECT_EQ(decoded.seed, spec.seed);
-  EXPECT_EQ(campaign::sweep_config_fingerprint(decoded),
-            campaign::sweep_config_fingerprint(spec));
+  EXPECT_EQ(campaign::encode_sweep_config(decoded), campaign::encode_sweep_config(spec));
+}
+
+TEST(SweepCampaign, RejectsDegenerateGrids) {
+  const std::vector<std::function<void(campaign::SweepCampaignSpec&)>> degenerate = {
+      [](auto& s) { s.states.clear(); },
+      [](auto& s) { s.fps.clear(); },
+      [](auto& s) { s.heights.clear(); },
+      [](auto& s) { s.runs = 0; },
+      [](auto& s) { s.duration_s = 0; },
+      [](auto& s) { s.fps = {0}; },
+      [](auto& s) { s.fps = {30, -1}; },
+      [](auto& s) { s.heights = {-5}; },
+  };
+  for (std::size_t i = 0; i < degenerate.size(); ++i) {
+    auto spec = small_sweep();
+    degenerate[i](spec);
+    EXPECT_THROW(campaign::run_sweep_campaign(spec, campaign::CampaignOptions{}),
+                 std::invalid_argument)
+        << "case " << i;
+    // A checkpoint recorded under such a grid is refused on resume too.
+    EXPECT_THROW(campaign::decode_sweep_config(campaign::encode_sweep_config(spec)),
+                 std::invalid_argument)
+        << "case " << i;
+  }
+  // Warm groups fork(): the grid refuses the in-process thread lane.
+  auto threads = campaign::CampaignOptions{};
+  threads.jobs = 2;
+  EXPECT_THROW(campaign::run_sweep_campaign(small_sweep(), threads), std::invalid_argument);
 }
 
 TEST(SweepCampaign, MatchesInProcessGridByteForByte) {
@@ -598,7 +689,7 @@ TEST(SweepCampaign, ResumeKeepsDigest) {
   const auto resumed = campaign::run_sweep_campaign(recovered, resume_opts);
   ASSERT_TRUE(resumed.campaign.complete);
   EXPECT_EQ(resumed.campaign.units_from_checkpoint, campaign::sweep_total_units(spec));
-  EXPECT_EQ(resumed.digest, first.digest);
+  EXPECT_EQ(resumed.campaign.digest, first.campaign.digest);
 }
 
 }  // namespace

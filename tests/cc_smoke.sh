@@ -54,11 +54,7 @@ for cc in fifo cubic bbr c4; do
     echo "[$cc] DIGEST MISMATCH: serial=$serial_digest procs=$procs_digest"
     exit 1
   fi
-  # The sweep json records procs_used in its "jobs" metadata field, so
-  # normalize that one field; every result-bearing byte must match.
-  sed 's/"jobs": *[0-9]*/"jobs": 0/' "$WORK/$cc/serial/BENCH_cc.json" > "$WORK/$cc/serial.norm"
-  sed 's/"jobs": *[0-9]*/"jobs": 0/' "$WORK/$cc/procs/BENCH_cc.json" > "$WORK/$cc/procs.norm"
-  cmp -s "$WORK/$cc/serial.norm" "$WORK/$cc/procs.norm" || {
+  cmp -s "$WORK/$cc/serial/BENCH_cc.json" "$WORK/$cc/procs/BENCH_cc.json" || {
     echo "[$cc] procs BENCH json differs from the serial run"
     exit 1
   }

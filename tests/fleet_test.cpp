@@ -1,6 +1,6 @@
-// Fleet subsystem tests (DESIGN.md §15): spec round-trips and resume
-// fingerprinting, population purity, shard payload purity, warm-vs-cold
-// bit identity, aggregate encode/merge contracts, the FLCF+FLEE blob,
+// Fleet subsystem tests (DESIGN.md §15): spec round-trips and the config
+// bytes a resume is checked against, population purity, shard payload
+// purity, aggregate encode/merge contracts, the FLCF+FLEE blob,
 // and — the subsystem's load-bearing promise — byte-identical digests
 // and reports across the serial / --jobs / --procs / crash-and-resume
 // execution lanes.
@@ -64,10 +64,10 @@ fleet::FleetSpec tiny_spec() {
   return spec;
 }
 
-fleet::FleetRunOptions fast_options() {
-  fleet::FleetRunOptions opts;
+campaign::CampaignOptions fast_options() {
+  campaign::CampaignOptions opts;
   opts.max_attempts = 3;
-  opts.units_per_proc_shard = 2;
+  opts.shard_size = 2;
   return opts;
 }
 
@@ -92,12 +92,12 @@ TEST(FleetSpec, ConfigRoundTripsExactly) {
 
 TEST(FleetSpec, FingerprintCoversEveryField) {
   const fleet::FleetSpec base = tiny_spec();
-  const std::uint64_t fp = fleet::fleet_config_fingerprint(base);
-  EXPECT_EQ(fleet::fleet_config_fingerprint(tiny_spec()), fp);
+  const std::string bytes = fleet::encode_fleet_config(base);
+  EXPECT_EQ(fleet::encode_fleet_config(tiny_spec()), bytes);
   auto differs = [&](auto mutate) {
     fleet::FleetSpec spec = base;
     mutate(spec);
-    EXPECT_NE(fleet::fleet_config_fingerprint(spec), fp);
+    EXPECT_NE(fleet::encode_fleet_config(spec), bytes);
   };
   differs([](fleet::FleetSpec& s) { s.devices += 1; });
   differs([](fleet::FleetSpec& s) { s.seed += 1; });
@@ -218,7 +218,7 @@ TEST(FleetAggregate, BlobRoundTripsConfigAndAggregate) {
   const snapshot::Snapshot blob = fleet::save_fleet_blob(spec, agg);
   const snapshot::Snapshot reparsed = snapshot::Snapshot::parse(blob.serialize());
   const auto [spec2, agg2] = fleet::load_fleet_blob(reparsed);
-  EXPECT_EQ(fleet::fleet_config_fingerprint(spec2), fleet::fleet_config_fingerprint(spec));
+  EXPECT_EQ(fleet::encode_fleet_config(spec2), fleet::encode_fleet_config(spec));
   EXPECT_EQ(agg2.encode(), agg.encode());
   EXPECT_EQ(fleet::fleet_report_json(spec2, agg2), fleet::fleet_report_json(spec, agg));
   EXPECT_THROW(fleet::load_fleet_blob(snapshot::Snapshot()), std::exception);
@@ -294,7 +294,7 @@ TEST(FleetLanes, CrashAndResumeMatchesUninterruptedRun) {
   // Phase 2: the checkpoint alone reconstructs the spec; the resumed
   // run must land on the reference bytes exactly.
   const fleet::FleetSpec recovered = fleet::load_fleet_resume_spec(state.path());
-  EXPECT_EQ(fleet::fleet_config_fingerprint(recovered), fleet::fleet_config_fingerprint(spec));
+  EXPECT_EQ(fleet::encode_fleet_config(recovered), fleet::encode_fleet_config(spec));
   auto resume_opts = fast_options();
   resume_opts.procs = 2;
   resume_opts.state_path = state.path();

@@ -206,7 +206,7 @@ TEST(PolicySpec, CampaignAndFleetConfigsCarryThePolicyAxis) {
       campaign::decode_sweep_config(campaign::encode_sweep_config(sweep));
   EXPECT_EQ(sweep_back.mem_policy, sweep.mem_policy);
   campaign::SweepCampaignSpec plain;
-  EXPECT_NE(campaign::sweep_config_fingerprint(sweep), campaign::sweep_config_fingerprint(plain));
+  EXPECT_NE(campaign::encode_sweep_config(sweep), campaign::encode_sweep_config(plain));
   // Baseline encodes to *nothing*: no policy tail, so historical
   // checkpoint fingerprints are untouched by this refactor.
   EXPECT_LT(campaign::encode_sweep_config(plain).size(),
@@ -404,8 +404,8 @@ TEST(PolicyCompare, BaselineLaneMatchesPlainSweepByteForByte) {
   campaign::PolicyCompareSpec single;
   single.base = base;
   single.policies = {base.mem_policy};
-  EXPECT_EQ(campaign::run_policy_compare(single, campaign::CampaignOptions{}).digest,
-            plain.digest);
+  EXPECT_EQ(campaign::run_policy_compare(single, campaign::CampaignOptions{}).campaign.digest,
+            plain.campaign.digest);
 
   single.base.net.cc = "cubic";
   const campaign::PolicyCompareResult cubic_compare =
@@ -414,8 +414,8 @@ TEST(PolicyCompare, BaselineLaneMatchesPlainSweepByteForByte) {
       campaign::run_sweep_campaign(single.base, campaign::CampaignOptions{});
   ASSERT_TRUE(cubic_compare.campaign.complete);
   ASSERT_TRUE(cubic_sweep.campaign.complete);
-  EXPECT_NE(cubic_sweep.digest, plain.digest);  // the link reaches the grid
-  EXPECT_EQ(cubic_compare.digest, cubic_sweep.digest);
+  EXPECT_NE(cubic_sweep.campaign.digest, plain.campaign.digest);  // the link reaches the grid
+  EXPECT_EQ(cubic_compare.campaign.digest, cubic_sweep.campaign.digest);
   EXPECT_EQ(runner::sweep_json("lane", cubic_compare.lanes[0].cells, base.runs, 1, base.seed),
             runner::sweep_json("lane", cubic_sweep.cells, base.runs, 1, base.seed));
 }

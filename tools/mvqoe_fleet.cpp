@@ -10,9 +10,11 @@
 //       study population model (device family x usage cohort), reduced
 //       shard by shard into one streaming FleetAggregate — peak memory
 //       is O(shard), not O(fleet). Every device rebuilds its
-//       (family, cohort) world in-process. The report digest is
-//       byte-identical across serial, --jobs N threads, --procs N
-//       supervised worker processes and kill-and-resume. --save bundles
+//       (family, cohort) world in-process. Shards run through
+//       campaign::run_campaign: serially, on --jobs N threads, or in
+//       --procs N supervised worker processes (checkpointed with
+//       --state). The report digest is byte-identical across all of
+//       them and kill-and-resume. --save bundles
 //       (config, aggregate) as an MVQS blob; --report writes the Figs 2-6
 //       report JSON.
 //
@@ -30,13 +32,10 @@
 // (a shard exhausted its retry budget), 128+signo interrupted with the
 // checkpoint flushed.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 
-#include "campaign/progress.hpp"
-#include "campaign/signal.hpp"
+#include "campaign/cli.hpp"
 #include "fleet/runner.hpp"
 
 namespace {
@@ -60,90 +59,55 @@ int usage() {
 
 struct Args {
   fleet::FleetSpec spec;
-  fleet::FleetRunOptions opts;
-  std::string resume_path;
-  std::string blob_path;  // `report` positional
+  campaign::cli::CampaignFlags flags;
+  std::string blob_path;  // `resume` / `report` positional
   std::string save_path;
   std::string report_path;
   std::string out_path;
-  bool progress = false;
-  // Deterministic failure injection (tests; see campaign::TestHooks).
-  int kill_after_checkpoints = 0;
-  std::int64_t abort_unit = -1;
-  int abort_attempts = 1;
   bool ok = true;
 };
 
 Args parse_args(int argc, char** argv) {
   Args args;
-  const auto value = [&](int& i) -> const char* {
-    const char* eq = std::strchr(argv[i], '=');
-    if (eq != nullptr) return eq + 1;
-    if (i + 1 >= argc) {
-      args.ok = false;
-      return "";
-    }
-    return argv[++i];
-  };
-  const auto is_flag = [&](int i, const char* name) {
-    const std::size_t len = std::strlen(name);
-    return std::strncmp(argv[i], name, len) == 0 && (argv[i][len] == '\0' || argv[i][len] == '=');
-  };
+  args.flags.options.shard_size = 2;  // campaign units (device shards) per worker shard
   const std::string command = argv[1];
-  int i = 2;
-  if ((command == "resume" || command == "report") && i < argc && argv[i][0] != '-') {
-    args.blob_path = argv[i++];
+  int first = 2;
+  if ((command == "resume" || command == "report") && first < argc && argv[first][0] != '-') {
+    args.blob_path = argv[first++];
   }
-  for (; i < argc && args.ok; ++i) {
-    if (is_flag(i, "--devices")) {
-      args.spec.devices = std::strtoull(value(i), nullptr, 0);
-    } else if (is_flag(i, "--seed")) {
-      args.spec.seed = std::strtoull(value(i), nullptr, 0);
-    } else if (is_flag(i, "--session-s")) {
-      args.spec.session_s = std::atoi(value(i));
-    } else if (is_flag(i, "--policy")) {
-      args.spec.mem_policy.name = value(i);
-    } else if (is_flag(i, "--cc")) {
-      args.spec.net.cc = value(i);
-    } else if (is_flag(i, "--sample-period")) {
-      args.spec.sample_period_s = std::atoi(value(i));
-    } else if (is_flag(i, "--warmup-s")) {
-      args.spec.warmup_s = std::atoi(value(i));
-    } else if (is_flag(i, "--shard-size")) {
-      args.spec.shard_size = std::strtoull(value(i), nullptr, 0);
-    } else if (is_flag(i, "--jobs")) {
-      args.opts.jobs = std::atoi(value(i));
-    } else if (is_flag(i, "--procs")) {
-      args.opts.procs = std::atoi(value(i));
-    } else if (is_flag(i, "--state")) {
-      args.opts.state_path = value(i);
-    } else if (is_flag(i, "--retries")) {
-      args.opts.max_attempts = std::atoi(value(i));
-    } else if (is_flag(i, "--heartbeat-ms")) {
-      args.opts.heartbeat_timeout_ms = std::atoi(value(i));
-    } else if (is_flag(i, "--save")) {
-      args.save_path = value(i);
-    } else if (is_flag(i, "--report")) {
-      args.report_path = value(i);
-    } else if (is_flag(i, "--out")) {
-      args.out_path = value(i);
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      args.progress = true;
-    } else if (is_flag(i, "--kill-after-checkpoints")) {
-      args.kill_after_checkpoints = std::atoi(value(i));
-    } else if (is_flag(i, "--abort-unit")) {
-      args.abort_unit = std::atoll(value(i));
-    } else if (is_flag(i, "--abort-attempts")) {
-      args.abort_attempts = std::atoi(value(i));
-    } else {
-      args.ok = false;
+  campaign::cli::Scanner scan(argc, argv, first);
+  while (scan.next()) {
+    if (scan.is("--devices")) {
+      args.spec.devices = scan.u64();
+    } else if (scan.is("--seed")) {
+      args.spec.seed = scan.u64();
+    } else if (scan.is("--session-s")) {
+      args.spec.session_s = scan.integer();
+    } else if (scan.is("--policy")) {
+      args.spec.mem_policy.name = scan.text();
+    } else if (scan.is("--cc")) {
+      args.spec.net.cc = scan.text();
+    } else if (scan.is("--sample-period")) {
+      args.spec.sample_period_s = scan.integer();
+    } else if (scan.is("--warmup-s")) {
+      args.spec.warmup_s = scan.integer();
+    } else if (scan.is("--shard-size")) {
+      args.spec.shard_size = scan.u64();
+    } else if (scan.is("--jobs")) {
+      args.flags.options.jobs = scan.integer(1);
+    } else if (scan.is("--save")) {
+      args.save_path = scan.text();
+    } else if (scan.is("--report")) {
+      args.report_path = scan.text();
+    } else if (scan.is("--out")) {
+      args.out_path = scan.text();
+    } else if (!args.flags.parse(scan)) {
+      scan.fail();
     }
   }
-  if (args.opts.jobs < 1 || args.opts.procs < 0 || args.opts.max_attempts < 1 ||
-      args.opts.heartbeat_timeout_ms < 1) {
-    args.ok = false;
-  }
-  if ((command == "resume" || command == "report") && args.blob_path.empty()) args.ok = false;
+  args.ok = scan.ok() && ((command != "resume" && command != "report") || !args.blob_path.empty());
+  // A resume writes back to the checkpoint it reads; --state cannot redirect it.
+  if (command == "resume" && !args.flags.resume_from(args.blob_path)) args.ok = false;
   return args;
 }
 
@@ -157,54 +121,17 @@ bool write_text_file(const std::string& path, const std::string& text) {
 int run_or_resume(Args args, bool resume) {
   if (resume) {
     args.spec = fleet::load_fleet_resume_spec(args.blob_path);
-    args.opts.state_path = args.blob_path;
-    args.opts.resume = true;
     std::printf("resume: %s (devices=%llu session=%ds shard=%llu)\n", args.blob_path.c_str(),
                 static_cast<unsigned long long>(args.spec.devices), args.spec.session_s,
                 static_cast<unsigned long long>(args.spec.shard_size));
   }
-  args.opts.hooks.kill_after_checkpoints = args.kill_after_checkpoints;
-  args.opts.hooks.abort_unit = args.abort_unit;
-  args.opts.hooks.abort_attempts = args.abort_attempts;
 
-  campaign::InterruptGuard guard;
-  args.opts.interrupt = guard.flag();
-
-  campaign::ProgressMeter meter("devices");
-  if (args.progress) {
-    args.opts.progress = [&meter](std::uint64_t done, std::uint64_t total) {
-      meter.update(done, total);
-    };
-  }
-
-  const fleet::FleetRunResult result = fleet::run_fleet(args.spec, args.opts);
-  meter.finish();
-
-  if (result.campaign.units_from_checkpoint > 0) {
-    std::printf("resumed: %llu/%llu shards from checkpoint, %llu executed\n",
-                static_cast<unsigned long long>(result.campaign.units_from_checkpoint),
-                static_cast<unsigned long long>(fleet::fleet_total_units(args.spec)),
-                static_cast<unsigned long long>(result.campaign.units_done -
-                                                result.campaign.units_from_checkpoint));
-  }
-  for (const campaign::ShardOutcome& shard : result.campaign.shards) {
-    if (shard.status == campaign::ShardStatus::Failed) {
-      std::printf("shard units [%llu..%llu) FAILED after %d attempts: %s\n",
-                  static_cast<unsigned long long>(shard.first_unit),
-                  static_cast<unsigned long long>(shard.first_unit + shard.unit_count),
-                  shard.attempts, shard.error.c_str());
-    }
-  }
-
-  if (result.interrupted) {
-    std::printf("interrupted by signal %d: %llu/%llu devices done, checkpoint %s\n",
-                guard.signal_number(), static_cast<unsigned long long>(result.devices_done),
-                static_cast<unsigned long long>(args.spec.devices),
-                args.opts.state_path.empty()
-                    ? "disabled (--state not set)"
-                    : ("flushed to " + args.opts.state_path).c_str());
-    std::fflush(stdout);
-    return guard.exit_code();
+  campaign::cli::Session session(args.flags, "units", "devices");
+  const fleet::FleetRunResult result = fleet::run_fleet(args.spec, session.options());
+  session.report(result.campaign, fleet::fleet_total_units(args.spec));
+  if (const int code = session.interrupted(result.campaign, result.devices_done,
+                                           args.spec.devices)) {
+    return code;
   }
 
   std::printf("fleet: %llu/%llu devices, %.2fs wall, %.0f devices/sec, peak RSS %.1f MB, "

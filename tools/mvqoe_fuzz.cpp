@@ -9,7 +9,8 @@
 //       checkpoint/restore digest-identity checks. Failures are
 //       auto-shrunk to a minimal spec, localized to the first
 //       diverging/violating event, and written to DIR as self-contained
-//       repro blobs. The summary digest is invariant to --jobs.
+//       repro blobs. The summary digest is invariant to --jobs and
+//       --procs.
 //       --perturb-run K flips one RNG bit in run K at --perturb-at
 //       seconds (default 2) — a manufactured determinism failure for
 //       demos and tests.
@@ -20,13 +21,16 @@
 //       wall-clock minutes elapse.
 //
 //   mvqoe_fuzz --procs N [--state FILE] [--shard-size N] [--retries N]
-//              [--heartbeat-ms N] [--backoff-ms N] [same flags]
+//              [--heartbeat-ms N] [same flags]
 //       Crash-safe multi-process campaign (DESIGN.md §13): runs are
 //       sharded across N supervised worker processes; a crashed or hung
 //       worker is SIGKILLed and its shard retried with exponential
 //       backoff, and with --state every completed shard is checkpointed
 //       atomically. SIGINT/SIGTERM flush the checkpoint and exit with
-//       128+signo. The digest matches --jobs runs exactly.
+//       128+signo. The digest matches --jobs runs exactly. Every mode
+//       runs through campaign::run_fuzz_campaign; --procs/--state/
+//       --resume pick its supervised lane, anything else its in-process
+//       --jobs lane.
 //
 //   mvqoe_fuzz --resume FILE [--procs N]
 //       Resume a killed campaign from its checkpoint: the fuzz
@@ -45,17 +49,13 @@
 // checkpoint flushed.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <optional>
 #include <string>
-
 #include <vector>
 
+#include "campaign/cli.hpp"
 #include "campaign/fuzz_campaign.hpp"
-#include "campaign/progress.hpp"
-#include "campaign/signal.hpp"
 #include "check/harness.hpp"
 #include "check/shrink.hpp"
 #include "mem/policy.hpp"
@@ -74,7 +74,7 @@ int usage() {
                "                  [--perturb-run K]\n"
                "                  [--perturb-at S] [--minutes N] [--progress]\n"
                "       mvqoe_fuzz --procs N [--state FILE] [--shard-size N] [--retries N]\n"
-               "                  [--heartbeat-ms N] [--backoff-ms N] [common flags]\n"
+               "                  [--heartbeat-ms N] [common flags]\n"
                "       mvqoe_fuzz --resume FILE [--procs N]\n"
                "       mvqoe_fuzz --repro FILE\n");
   return 2;
@@ -83,7 +83,6 @@ int usage() {
 struct Args {
   std::uint64_t seed = 1;
   int runs = 100;
-  int jobs = 1;
   int minutes = 0;
   std::string out_dir = ".";
   std::string repro_path;
@@ -96,115 +95,54 @@ struct Args {
   bool meta = true;
   int perturb_run = -1;
   int perturb_at_s = 2;
-  // Campaign mode (multi-process, crash-safe).
-  int procs = 0;  // 0 = in-process --jobs pool; >0 = campaign coordinator
-  std::string state_path;
+  campaign::cli::CampaignFlags flags;
   std::string resume_path;
-  int shard_size = 8;
-  int retries = 3;
-  int heartbeat_ms = 120000;
-  int backoff_ms = 100;
-  // Deterministic failure injection (tests; see campaign::TestHooks).
-  int abort_run = -1;
-  int abort_attempts = 1;
-  int kill_after_checkpoints = 0;
-  bool progress = false;
   bool ok = true;
 };
 
-void split_csv(const std::string& csv, std::vector<std::string>& out) {
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string name =
-        csv.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!name.empty()) out.push_back(name);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-}
-
 Args parse_args(int argc, char** argv) {
   Args args;
-  const auto value = [&](int& i) -> const char* {
-    const char* eq = std::strchr(argv[i], '=');
-    if (eq != nullptr) return eq + 1;
-    if (i + 1 >= argc) {
-      args.ok = false;
-      return "";
-    }
-    return argv[++i];
-  };
-  const auto is_flag = [&](int i, const char* name) {
-    const std::size_t len = std::strlen(name);
-    return std::strncmp(argv[i], name, len) == 0 && (argv[i][len] == '\0' || argv[i][len] == '=');
-  };
-  for (int i = 1; i < argc && args.ok; ++i) {
-    if (is_flag(i, "--seed")) {
-      args.seed = std::strtoull(value(i), nullptr, 0);
-    } else if (is_flag(i, "--runs")) {
-      args.runs = std::atoi(value(i));
-    } else if (is_flag(i, "--jobs")) {
-      args.jobs = std::atoi(value(i));
-    } else if (is_flag(i, "--minutes")) {
-      args.minutes = std::atoi(value(i));
-    } else if (is_flag(i, "--out")) {
-      args.out_dir = value(i);
-    } else if (is_flag(i, "--repro")) {
-      args.repro_path = value(i);
-    } else if (is_flag(i, "--max-videos")) {
-      args.max_videos = std::atoi(value(i));
-    } else if (is_flag(i, "--max-duration")) {
-      args.max_duration = std::atoi(value(i));
-    } else if (is_flag(i, "--policy")) {
-      split_csv(value(i), args.policies);
-      if (args.policies.empty()) args.ok = false;
-    } else if (is_flag(i, "--cc")) {
-      split_csv(value(i), args.ccs);
-      if (args.ccs.empty()) args.ok = false;
-    } else if (is_flag(i, "--no-meta")) {
+  campaign::cli::Scanner scan(argc, argv, 1);
+  while (scan.next()) {
+    if (scan.is("--seed")) {
+      args.seed = scan.u64();
+    } else if (scan.is("--runs")) {
+      args.runs = scan.integer(1);
+    } else if (scan.is("--jobs")) {
+      args.flags.options.jobs = scan.integer(0);
+    } else if (scan.is("--minutes")) {
+      args.minutes = scan.integer();
+    } else if (scan.is("--out")) {
+      args.out_dir = scan.text();
+    } else if (scan.is("--repro")) {
+      args.repro_path = scan.text();
+    } else if (scan.is("--max-videos")) {
+      args.max_videos = scan.integer(1);
+    } else if (scan.is("--max-duration")) {
+      args.max_duration = scan.integer(1);
+    } else if (scan.is("--policy")) {
+      args.policies = scan.names();
+    } else if (scan.is("--cc")) {
+      args.ccs = scan.names();
+    } else if (scan.is("--no-meta")) {
       args.meta = false;
-    } else if (is_flag(i, "--perturb-run")) {
-      args.perturb_run = std::atoi(value(i));
-    } else if (is_flag(i, "--perturb-at")) {
-      args.perturb_at_s = std::atoi(value(i));
-    } else if (is_flag(i, "--procs")) {
-      args.procs = std::atoi(value(i));
-    } else if (is_flag(i, "--state")) {
-      args.state_path = value(i);
-    } else if (is_flag(i, "--resume")) {
-      args.resume_path = value(i);
-    } else if (is_flag(i, "--shard-size")) {
-      args.shard_size = std::atoi(value(i));
-    } else if (is_flag(i, "--retries")) {
-      args.retries = std::atoi(value(i));
-    } else if (is_flag(i, "--heartbeat-ms")) {
-      args.heartbeat_ms = std::atoi(value(i));
-    } else if (is_flag(i, "--backoff-ms")) {
-      args.backoff_ms = std::atoi(value(i));
-    } else if (is_flag(i, "--abort-run")) {
-      args.abort_run = std::atoi(value(i));
-    } else if (is_flag(i, "--abort-attempts")) {
-      args.abort_attempts = std::atoi(value(i));
-    } else if (is_flag(i, "--kill-after-checkpoints")) {
-      args.kill_after_checkpoints = std::atoi(value(i));
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      args.progress = true;
-    } else {
-      args.ok = false;
+    } else if (scan.is("--perturb-run")) {
+      args.perturb_run = scan.integer();
+    } else if (scan.is("--perturb-at")) {
+      args.perturb_at_s = scan.integer();
+    } else if (scan.is("--shard-size")) {
+      args.flags.options.shard_size = static_cast<std::size_t>(scan.integer(1));
+    } else if (scan.is("--resume")) {
+      args.resume_path = scan.text();
+    } else if (!args.flags.parse(scan)) {
+      scan.fail();
     }
   }
-  if (args.runs < 1 || args.max_videos < 1 || args.max_duration < 1) args.ok = false;
-  const bool campaign_mode =
-      args.procs > 0 || !args.state_path.empty() || !args.resume_path.empty();
+  args.ok = scan.ok() && (args.resume_path.empty() || args.flags.resume_from(args.resume_path));
   // A --minutes soak reseeds per batch — one checkpoint cannot describe
-  // it, and the coordinator owns parallelism in campaign mode.
-  if (campaign_mode && args.minutes > 0) args.ok = false;
-  if (!args.state_path.empty() && !args.resume_path.empty()) args.ok = false;
-  if (campaign_mode && (args.shard_size < 1 || args.retries < 1 || args.heartbeat_ms < 1 ||
-                        args.backoff_ms < 0)) {
-    args.ok = false;
-  }
+  // it, and the coordinator owns parallelism in the supervised lane.
+  const campaign::CampaignOptions& copts = args.flags.options;
+  if (args.minutes > 0 && (copts.procs > 0 || !copts.state_path.empty())) args.ok = false;
   return args;
 }
 
@@ -212,7 +150,6 @@ check::FuzzOptions fuzz_options(const Args& args, std::uint64_t seed) {
   check::FuzzOptions opts;
   opts.seed = seed;
   opts.runs = args.runs;
-  opts.jobs = args.jobs;
   opts.generator.max_videos = args.max_videos;
   opts.generator.max_duration_s = args.max_duration;
   opts.generator.policies = args.policies;
@@ -291,89 +228,9 @@ int cmd_repro(const Args& args) {
   return 1;
 }
 
-/// Multi-process crash-safe campaign (--procs / --state / --resume).
-int cmd_campaign(const Args& args) {
-  check::FuzzOptions opts;
-  if (!args.resume_path.empty()) {
-    opts = campaign::load_fuzz_resume_config(args.resume_path);
-    std::printf("resume: %s (seed=%llu runs=%d)\n", args.resume_path.c_str(),
-                static_cast<unsigned long long>(opts.seed), opts.runs);
-  } else {
-    opts = fuzz_options(args, args.seed);
-  }
-
-  campaign::CampaignOptions copts;
-  copts.procs = args.procs > 0 ? args.procs : 1;
-  copts.shard_size = static_cast<std::size_t>(args.shard_size);
-  copts.max_attempts = args.retries;
-  copts.heartbeat_timeout_ms = args.heartbeat_ms;
-  copts.backoff_ms = args.backoff_ms;
-  copts.state_path = args.resume_path.empty() ? args.state_path : args.resume_path;
-  copts.resume = !args.resume_path.empty();
-  copts.hooks.abort_unit = args.abort_run;
-  copts.hooks.abort_attempts = args.abort_attempts;
-  copts.hooks.kill_after_checkpoints = args.kill_after_checkpoints;
-
-  campaign::InterruptGuard guard;
-  copts.interrupt = guard.flag();
-
-  campaign::ProgressMeter meter("runs");
-  if (args.progress) {
-    copts.progress = [&meter](std::uint64_t done, std::uint64_t total) {
-      meter.update(done, total);
-    };
-  }
-
-  const campaign::FuzzCampaignResult result = campaign::run_fuzz_campaign(opts, copts);
-  meter.finish();
-
-  if (result.campaign.units_from_checkpoint > 0) {
-    std::printf("resumed: %llu/%d runs from checkpoint, %llu executed\n",
-                static_cast<unsigned long long>(result.campaign.units_from_checkpoint), opts.runs,
-                static_cast<unsigned long long>(result.campaign.units_done -
-                                                result.campaign.units_from_checkpoint));
-  }
-  for (const check::FuzzFailure& failure : result.summary.failures) {
-    handle_failure(args, opts, failure);
-  }
-  for (const campaign::ShardOutcome& shard : result.campaign.shards) {
-    if (shard.status == campaign::ShardStatus::Failed) {
-      std::printf("shard runs [%llu..%llu) FAILED after %d attempts: %s\n",
-                  static_cast<unsigned long long>(shard.first_unit),
-                  static_cast<unsigned long long>(shard.first_unit + shard.unit_count),
-                  shard.attempts, shard.error.c_str());
-    } else if (shard.attempts > 1) {
-      std::printf("shard runs [%llu..%llu) recovered on attempt %d\n",
-                  static_cast<unsigned long long>(shard.first_unit),
-                  static_cast<unsigned long long>(shard.first_unit + shard.unit_count),
-                  shard.attempts);
-    }
-  }
-
-  if (result.campaign.interrupted) {
-    std::printf("interrupted by signal %d: %llu/%d runs done, checkpoint %s\n",
-                guard.signal_number(),
-                static_cast<unsigned long long>(result.campaign.units_done), opts.runs,
-                copts.state_path.empty() ? "disabled (--state not set)"
-                                         : ("flushed to " + copts.state_path).c_str());
-    std::fflush(stdout);
-    return guard.exit_code();
-  }
-  if (!result.campaign.complete) {
-    std::printf("campaign degraded: %llu/%d runs completed, %d failed among them\n",
-                static_cast<unsigned long long>(result.campaign.units_done), opts.runs,
-                result.summary.failed);
-    std::fflush(stdout);
-    return 3;
-  }
-  std::printf("fuzz summary: seed=%llu runs=%d failed=%d digest=%016llx\n",
-              static_cast<unsigned long long>(opts.seed), result.summary.runs,
-              result.summary.failed, static_cast<unsigned long long>(result.summary.digest));
-  std::fflush(stdout);
-  return result.summary.failed == 0 ? 0 : 1;
-}
-
-int run_campaign(const Args& args) {
+/// Every fuzz campaign: the in-process --jobs lane (optionally a
+/// --minutes soak of reseeded batches) or the supervised --procs lane.
+int cmd_fuzz(const Args& args) {
   using clock = std::chrono::steady_clock;
   const auto deadline = clock::now() + std::chrono::minutes(args.minutes);
   int total_runs = 0;
@@ -381,26 +238,39 @@ int run_campaign(const Args& args) {
   int batch = 0;
   do {
     const std::uint64_t batch_seed =
-        args.minutes > 0 ? stats::derive_seed(args.seed, 1000000ULL + static_cast<std::uint64_t>(batch))
-                         : args.seed;
+        args.minutes > 0
+            ? stats::derive_seed(args.seed, 1000000ULL + static_cast<std::uint64_t>(batch))
+            : args.seed;
     check::FuzzOptions opts = fuzz_options(args, batch_seed);
-    campaign::ProgressMeter meter("runs");
-    if (args.progress) {
-      opts.progress = [&meter](std::uint64_t done, std::uint64_t total) {
-        meter.update(done, total);
-      };
+    if (!args.resume_path.empty()) {
+      opts = campaign::load_fuzz_resume_config(args.resume_path);
+      std::printf("resume: %s (seed=%llu runs=%d)\n", args.resume_path.c_str(),
+                  static_cast<unsigned long long>(opts.seed), opts.runs);
     }
-    const check::FuzzSummary summary = check::run_fuzz(opts);
-    meter.finish();
-    for (const check::FuzzFailure& failure : summary.failures) {
+
+    campaign::cli::Session session(args.flags, "runs");
+    const campaign::FuzzCampaignResult result =
+        campaign::run_fuzz_campaign(opts, session.options());
+    const campaign::CampaignResult& run = result.campaign;
+    const auto runs = static_cast<std::uint64_t>(opts.runs);
+    session.report(run, runs);
+    for (const check::FuzzFailure& failure : result.summary.failures) {
       handle_failure(args, opts, failure);
     }
-    total_runs += summary.runs;
-    total_failed += summary.failed;
+    if (const int code = session.interrupted(run, run.units_done, runs)) return code;
+    if (!run.complete) {
+      std::printf("campaign degraded: %llu/%d runs completed, %d failed among them\n",
+                  static_cast<unsigned long long>(run.units_done), opts.runs,
+                  result.summary.failed);
+      std::fflush(stdout);
+      return 3;
+    }
     std::printf("fuzz summary: seed=%llu runs=%d failed=%d digest=%016llx\n",
-                static_cast<unsigned long long>(batch_seed), summary.runs, summary.failed,
-                static_cast<unsigned long long>(summary.digest));
+                static_cast<unsigned long long>(opts.seed), result.summary.runs,
+                result.summary.failed, static_cast<unsigned long long>(result.summary.digest));
     std::fflush(stdout);
+    total_runs += result.summary.runs;
+    total_failed += result.summary.failed;
     ++batch;
   } while (args.minutes > 0 && clock::now() < deadline);
   if (args.minutes > 0) {
@@ -422,10 +292,7 @@ int main(int argc, char** argv) {
       mvqoe::net::validate_net_spec({name, {}});
     }
     if (!args.repro_path.empty()) return cmd_repro(args);
-    if (args.procs > 0 || !args.state_path.empty() || !args.resume_path.empty()) {
-      return cmd_campaign(args);
-    }
-    return run_campaign(args);
+    return cmd_fuzz(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mvqoe_fuzz: %s\n", e.what());
     return 2;
