@@ -2,20 +2,22 @@
 //
 // Runs the four-policy compare (DESIGN.md §16) on the documented smoke
 // grid — one Low-state fig16 cell, every registered reclaim/kill policy
-// — and records compare throughput (warm-sweep groups/sec) plus one QoE
+// — and records compare throughput (sweep groups/sec) plus one QoE
 // summary row per policy lane, so the cost of the policy indirection
-// gets a trajectory like BENCH_fleet.json. Two invariants are checked
-// on every run, not just smoke:
+// gets a trajectory like BENCH_fleet.json. Throughput is measured
+// serially (--jobs 1) and with the groups on 4 threads (--jobs 4). Two
+// invariants are checked on every run, not just smoke:
 //
-//   * the compare digest is identical across repetitions — a policy
-//     whose decisions depend on wall clock or address layout would
-//     break kill-and-resume, and this is the cheapest place to catch it;
+//   * the compare digest is identical across repetitions and across
+//     both thread counts — a policy whose decisions depend on wall
+//     clock, address layout or thread timing would break
+//     kill-and-resume, and this is the cheapest place to catch it;
 //   * the four lanes are pairwise distinct — if two policies ever
 //     produce byte-identical grids the policy axis has silently become
 //     a no-op (a factory wiring regression, not a tuning question).
 //
-// `--smoke` is the bench ctest tier: it additionally fails when compare
-// throughput falls below a conservative floor (about a fifth of what
+// `--smoke` is the bench ctest tier: it additionally fails when serial
+// compare throughput falls below a conservative floor (about a fifth of what
 // the reference 1-core box sustains), so a per-group cost regression in
 // the policy plumbing fails the suite instead of silently landing.
 #include <chrono>
@@ -62,6 +64,13 @@ campaign::PolicyCompareSpec bench_spec(bool smoke) {
   return spec;
 }
 
+/// Best-of-reps throughput of one thread count.
+struct Throughput {
+  int jobs = 1;
+  double groups_per_sec = 0.0;
+  double wall_s = 0.0;
+};
+
 struct LaneSummary {
   std::string policy;
   double drop_percent = 0.0;
@@ -99,40 +108,44 @@ int main(int argc, char** argv) {
   const std::uint64_t groups = campaign::policy_total_units(spec);
   const int reps = smoke ? 2 : 3;
 
-  double best_groups_per_sec = 0.0;
-  double best_wall_s = 0.0;
+  std::vector<Throughput> throughput = {{1}, {4}};
   std::uint64_t digest = 0;
   bool digest_stable = true;
   std::vector<LaneSummary> lanes;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const campaign::PolicyCompareResult result =
-        campaign::run_policy_compare(spec, campaign::CampaignOptions{});
-    const double wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                              .count();
-    if (!result.campaign.complete) {
-      std::fprintf(stderr, "FAIL: policy compare campaign did not complete\n");
-      return 1;
-    }
-    if (r == 0) {
-      digest = result.campaign.digest;
-      lanes.clear();
-      for (const campaign::PolicyLane& lane : result.lanes) {
-        lanes.push_back(summarize(lane, spec.base.runs, spec.base.seed));
+  for (Throughput& pass : throughput) {
+    campaign::CampaignOptions options;
+    options.jobs = pass.jobs;
+    for (int r = 0; r < reps; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const campaign::PolicyCompareResult result = campaign::run_policy_compare(spec, options);
+      const double wall_s =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      if (!result.campaign.complete) {
+        std::fprintf(stderr, "FAIL: policy compare campaign did not complete\n");
+        return 1;
       }
-    } else if (result.campaign.digest != digest) {
-      digest_stable = false;
-    }
-    const double groups_per_sec = static_cast<double>(groups) / wall_s;
-    if (groups_per_sec > best_groups_per_sec) {
-      best_groups_per_sec = groups_per_sec;
-      best_wall_s = wall_s;
+      if (lanes.empty()) {
+        digest = result.campaign.digest;
+        for (const campaign::PolicyLane& lane : result.lanes) {
+          lanes.push_back(summarize(lane, spec.base.runs, spec.base.seed));
+        }
+      } else if (result.campaign.digest != digest) {
+        digest_stable = false;
+      }
+      const double groups_per_sec = static_cast<double>(groups) / wall_s;
+      if (groups_per_sec > pass.groups_per_sec) {
+        pass.groups_per_sec = groups_per_sec;
+        pass.wall_s = wall_s;
+      }
     }
   }
+  const Throughput& serial = throughput.front();
+  const Throughput& threaded = throughput.back();
 
-  std::printf("policy compare %8.1f groups/s  wall %.3fs  %llu groups  digest=%016llx (%s)\n",
-              best_groups_per_sec, best_wall_s, static_cast<unsigned long long>(groups),
-              static_cast<unsigned long long>(digest),
+  std::printf("policy compare %8.1f groups/s (jobs 1)  %8.1f groups/s (jobs %d)  %llu groups  "
+              "digest=%016llx (%s)\n",
+              serial.groups_per_sec, threaded.groups_per_sec, threaded.jobs,
+              static_cast<unsigned long long>(groups), static_cast<unsigned long long>(digest),
               digest_stable ? "stable" : "UNSTABLE");
   bool lanes_distinct = true;
   for (std::size_t a = 0; a < lanes.size(); ++a) {
@@ -165,8 +178,10 @@ int main(int argc, char** argv) {
       .field("policies", spec.policies.size())
       .end_object();
   json.key("compare").begin_object()
-      .field("groups_per_sec", best_groups_per_sec)
-      .field("wall_s", best_wall_s)
+      .field("groups_per_sec", serial.groups_per_sec)
+      .field("wall_s", serial.wall_s)
+      .field("jobs4_groups_per_sec", threaded.groups_per_sec)
+      .field("jobs4_wall_s", threaded.wall_s)
       .field("digest_stable", digest_stable)
       .field("lanes_distinct", lanes_distinct)
       .end_object();
@@ -196,7 +211,7 @@ int main(int argc, char** argv) {
   }
 
   if (!digest_stable) {
-    std::fprintf(stderr, "FAIL: compare digest varied across repetitions\n");
+    std::fprintf(stderr, "FAIL: compare digest varied across repetitions or thread counts\n");
     return 1;
   }
   if (!lanes_distinct) return 1;
@@ -205,9 +220,9 @@ int main(int argc, char** argv) {
     // groups/sec on the smoke grid; a fifth of that means a per-group
     // cost regression (policy factory churn in the world loop, a
     // reclaim plan allocation storm, ...).
-    if (best_groups_per_sec < 15.0) {
+    if (serial.groups_per_sec < 15.0) {
       std::fprintf(stderr, "FAIL: policy compare throughput %.1f groups/sec < 15 floor\n",
-                   best_groups_per_sec);
+                   serial.groups_per_sec);
       return 1;
     }
   }

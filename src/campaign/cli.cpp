@@ -119,7 +119,9 @@ const char* state_name(mem::PressureLevel state) {
 }
 
 bool CampaignFlags::parse(Scanner& args) {
-  if (args.is("--procs")) {
+  if (args.is("--jobs")) {
+    options.jobs = args.integer(0);
+  } else if (args.is("--procs")) {
     options.procs = args.integer(0);
   } else if (args.is("--state")) {
     options.state_path = args.text();
@@ -166,8 +168,6 @@ bool parse_grid_flag(Scanner& args, SweepCampaignSpec& spec) {
     spec.runs = args.integer();
   } else if (args.is("--seed")) {
     spec.seed = args.u64();
-  } else if (args.is("--group-workers")) {
-    spec.group_workers = args.integer();
   } else {
     return false;
   }

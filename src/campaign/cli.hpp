@@ -66,7 +66,7 @@ class Scanner {
 const char* state_name(mem::PressureLevel state);
 
 /// The flags every campaign tool takes, mapped onto CampaignOptions:
-///   --procs N --state FILE --retries N --heartbeat-ms N
+///   --jobs N --procs N --state FILE --retries N --heartbeat-ms N
 ///   --kill-after-checkpoints N --progress
 struct CampaignFlags {
   CampaignOptions options;
@@ -81,7 +81,7 @@ struct CampaignFlags {
 
 /// The sweep-grid flags mvqoe_campaign sweep and mvqoe_policy compare
 /// share: --family --duration --organic --states --fps --heights --runs
-/// --seed --group-workers. Consumes the current flag if it is one.
+/// --seed. Consumes the current flag if it is one.
 bool parse_grid_flag(Scanner& args, SweepCampaignSpec& spec);
 
 /// One campaign invocation: installs the SIGINT/SIGTERM guard and, with

@@ -130,6 +130,11 @@ void run_supervised(std::uint64_t total_units, const UnitFn& fn, const CampaignO
       ++result.units_from_checkpoint;
     }
     result.shards = std::move(state.shards);
+    // Checkpoints written before the history was kept in unit order.
+    std::stable_sort(result.shards.begin(), result.shards.end(),
+                     [](const ShardOutcome& a, const ShardOutcome& b) {
+                       return a.first_unit < b.first_unit;
+                     });
   }
 
   std::uint64_t units_landed = result.units_from_checkpoint;
@@ -186,6 +191,9 @@ void run_supervised(std::uint64_t total_units, const UnitFn& fn, const CampaignO
 #endif
   };
 
+  // The history is kept in unit order (invocation order among equal
+  // first units), not completion order, so the checkpoint bytes do not
+  // depend on which worker finished first.
   const auto record_outcome = [&](Shard& shard, ShardStatus status) {
     ShardOutcome outcome;
     outcome.first_unit = shard.first_unit;
@@ -193,7 +201,10 @@ void run_supervised(std::uint64_t total_units, const UnitFn& fn, const CampaignO
     outcome.attempts = shard.attempts;
     outcome.status = status;
     if (status == ShardStatus::Failed) outcome.error = shard.last_error;
-    result.shards.push_back(std::move(outcome));
+    const auto at = std::upper_bound(
+        result.shards.begin(), result.shards.end(), outcome.first_unit,
+        [](std::uint64_t unit, const ShardOutcome& o) { return unit < o.first_unit; });
+    result.shards.insert(at, std::move(outcome));
   };
 
   // Fresh campaigns establish the checkpoint up front so an early kill

@@ -26,9 +26,9 @@
 // produces byte-identical campaign results.
 //
 // The worker body (`UnitFn`) runs in the forked child: it inherits the
-// coordinator's prepared state copy-on-write (the same trick as the
-// warm-start sweeps, runner/warm_sweep) and must not rely on threads —
-// the coordinator is single-threaded precisely so fork() stays safe.
+// coordinator's prepared state copy-on-write and must not rely on
+// threads — the coordinator is single-threaded precisely so fork()
+// stays safe.
 #pragma once
 
 #include <csignal>
@@ -102,7 +102,9 @@ struct CampaignResult {
   std::vector<std::string> payloads;
   std::vector<bool> completed;
   /// Cumulative shard supervision history (including resumed-from
-  /// runs); in-process, one Failed one-unit outcome per unit that threw.
+  /// runs) in ascending first_unit order, ties in the order they were
+  /// recorded; in-process, one Failed one-unit outcome per unit that
+  /// threw.
   std::vector<ShardOutcome> shards;
   std::uint64_t units_done = 0;
   std::uint64_t units_from_checkpoint = 0;

@@ -76,9 +76,6 @@ GridCampaignResult run_grid_campaign(const SweepCampaignSpec& base,
                                      const std::vector<mem::MemPolicySpec>& policies,
                                      const CampaignOptions& campaign) {
   validate_grid(base, policies);
-  if (campaign.jobs != 1) {
-    throw std::invalid_argument("campaign: grid groups fork(); run them serially or with procs");
-  }
   std::vector<scenario::ScenarioSpec> protos;
   protos.reserve(policies.size());
   for (const mem::MemPolicySpec& policy : policies) {
@@ -88,7 +85,6 @@ GridCampaignResult run_grid_campaign(const SweepCampaignSpec& base,
 
   const std::uint64_t groups_per_lane = sweep_total_units(base);
   const auto runs = static_cast<std::uint64_t>(base.runs);
-  const int group_workers = base.group_workers > 0 ? base.group_workers : 1;
   const auto unit_fn = [&](std::uint64_t unit) {
     const std::uint64_t group = unit % groups_per_lane;
     // Same (state, run) -> same sweep_group_seed in every lane: the
@@ -96,7 +92,7 @@ GridCampaignResult run_grid_campaign(const SweepCampaignSpec& base,
     return encode_group(runner::run_warm_group(
         protos.at(static_cast<std::size_t>(unit / groups_per_lane)),
         base.states.at(static_cast<std::size_t>(group / runs)), static_cast<int>(group % runs),
-        base.fps, base.heights, base.seed, group_workers));
+        base.fps, base.heights, base.seed, 1));
   };
 
   GridCampaignResult result;

@@ -33,8 +33,8 @@ struct GridCampaignResult {
 void validate_grid(const SweepCampaignSpec& base, const std::vector<mem::MemPolicySpec>& policies);
 
 /// Validate, run every unit through run_campaign and reduce.
-/// `campaign.config` is the caller's. Rejects `campaign.jobs != 1`: warm
-/// groups fork() and must not run on runner::run_batch threads.
+/// `campaign.config` is the caller's. Each unit runs its group's cells
+/// serially; `campaign.jobs` fans units out across threads.
 GridCampaignResult run_grid_campaign(const SweepCampaignSpec& base,
                                      const std::vector<mem::MemPolicySpec>& policies,
                                      const CampaignOptions& campaign);

@@ -1,10 +1,10 @@
 // Policy-compare campaigns: the "what if Android did X" experiment
 // (DESIGN.md §16) through campaign::run_campaign.
 //
-// A compare runs the SAME warm-start sweep grid once per memory policy,
+// A compare runs the SAME sweep grid once per memory policy,
 // through the sweep campaign's own lane-major runner
 // (campaign/grid_campaign; a sweep is a one-lane compare). One
-// campaign unit = one (policy, state, run) warm-sweep group in
+// campaign unit = one (policy, state, run) sweep group in
 // policy-major order, and every policy lane reuses the same
 // sweep_group_seed(base, state, run) world stream — so lane p and lane q
 // boot identically-seeded device populations and differ only in how
@@ -33,8 +33,7 @@ struct PolicyCompareSpec {
 /// where G = sweep_total_units(base).
 std::uint64_t policy_total_units(const PolicyCompareSpec& spec);
 
-/// Canonical wire encoding (checkpoint config). base.group_workers is
-/// excluded (parallelism knob, free to differ across resumes).
+/// Canonical wire encoding (checkpoint config).
 std::string encode_policy_config(const PolicyCompareSpec& spec);
 PolicyCompareSpec decode_policy_config(const std::string& bytes);
 
@@ -58,7 +57,7 @@ struct PolicyCompareResult {
 };
 
 /// Run (or resume) the compare through run_campaign.
-/// `campaign.config` is filled in from `spec`; `campaign.jobs` must be 1.
+/// `campaign.config` is filled in from `spec`.
 PolicyCompareResult run_policy_compare(const PolicyCompareSpec& spec, CampaignOptions campaign);
 
 }  // namespace mvqoe::campaign

@@ -1,14 +1,14 @@
-// Sweep campaigns: warm-start sweep grids through campaign::run_campaign
-// (DESIGN.md §13), serial in-process or in supervised worker processes.
+// Sweep campaigns: group-seeded sweep grids through campaign::run_campaign
+// (DESIGN.md §13): in-process (serial or on --jobs threads) or in
+// supervised worker processes.
 //
-// One campaign unit = one (pressure state, run) warm-sweep group — the
-// same unit the warm-start path already forks from one prepared world
-// (runner::run_warm_group), so the unit inherits the CoW machinery
-// wholesale: it prepares the group's shared world once and forks its
-// (fps, height) cells from it. The unit payload is the group's encoded
-// CellRunOutcome vector; merging payloads in unit order reproduces
-// run_sweep_grid_shared's grid exactly, so a resumed campaign's BENCH
-// json and digest match an uninterrupted run byte for byte.
+// One campaign unit = one (pressure state, run) sweep group
+// (runner::run_warm_group): its (fps, height) cells run serially, each
+// booting the group's world and playing its own video phase, with trace
+// recording off. The unit payload is the group's encoded CellRunOutcome
+// vector; merging payloads in unit order reproduces
+// run_sweep_grid_shared's grid exactly, so every lane's and a resumed
+// campaign's BENCH json and digest match a serial run byte for byte.
 //
 // A sweep is a policy compare (campaign/policy_campaign) with one lane:
 // both run through campaign/grid_campaign.
@@ -44,17 +44,14 @@ struct SweepCampaignSpec {
   /// Link congestion controller every world in the grid runs. The fifo
   /// default likewise encodes to nothing.
   net::NetSpec net;
-  /// Forked video-phase workers inside each group worker.
-  int group_workers = 1;
 };
 
 /// Units are (state, run) groups in state-major order:
 /// unit u -> (states[u / runs], run u % runs).
 std::uint64_t sweep_total_units(const SweepCampaignSpec& spec);
 
-/// Canonical wire encoding (checkpoint config). group_workers is
-/// excluded — like --jobs it may differ across resumes without changing
-/// the results. The decoder applies validate_grid.
+/// Canonical wire encoding (checkpoint config). The decoder applies
+/// validate_grid.
 std::string encode_sweep_config(const SweepCampaignSpec& spec);
 SweepCampaignSpec decode_sweep_config(const std::string& bytes);
 
@@ -73,8 +70,7 @@ struct SweepCampaignResult {
 };
 
 /// Run (or resume) the sweep grid through run_campaign.
-/// `campaign.config` is filled in from `spec`; `campaign.jobs` must be 1
-/// (warm groups fork() and must not run on batch threads).
+/// `campaign.config` is filled in from `spec`.
 SweepCampaignResult run_sweep_campaign(const SweepCampaignSpec& spec, CampaignOptions campaign);
 
 }  // namespace mvqoe::campaign

@@ -9,7 +9,7 @@
 //   attach()        world phase, after boot. Pressure workloads block
 //                   here until their regime is established (the §4.1
 //                   "start the video after the pressure signal" rule) —
-//                   this is also the warm-start fork boundary.
+//                   this is also where a sweep cell retargets its video.
 //   start()         arm faults, build sessions, begin playback. Must not
 //                   advance the engine (all workloads start at one
 //                   instant, and byte-identity with the legacy path

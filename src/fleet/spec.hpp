@@ -5,9 +5,8 @@
 // result-defining parameters: everything here is in the config bytes the
 // campaign coordinator fingerprints, so a checkpoint can never silently
 // resume under a different population. Execution knobs (--jobs/--procs)
-// live in campaign::CampaignOptions instead — like the sweep campaign's
-// group_workers, they may change across resumes without changing a
-// single output byte.
+// live in campaign::CampaignOptions instead: they may change across
+// resumes without changing a single output byte.
 #pragma once
 
 #include <cstdint>

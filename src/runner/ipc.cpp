@@ -10,8 +10,6 @@
 
 namespace mvqoe::runner {
 
-bool fork_supported() noexcept { return MVQOE_HAVE_FORK != 0; }
-
 #if MVQOE_HAVE_FORK
 
 bool write_all(int fd, std::string_view data) {

@@ -1,16 +1,11 @@
-// Low-level pipe I/O shared by every fork-based fan-out in the tree:
-// the warm-start sweep children (runner/warm_sweep) and the campaign
-// worker processes (src/campaign). Unix-only; callers gate on
-// fork_supported().
+// Low-level pipe I/O for the campaign worker processes (src/campaign),
+// the tree's one fork-based fan-out. Unix-only.
 #pragma once
 
 #include <string>
 #include <string_view>
 
 namespace mvqoe::runner {
-
-/// True when the platform supports fork()+pipe() process fan-out.
-bool fork_supported() noexcept;
 
 #if defined(__unix__) || defined(__APPLE__)
 

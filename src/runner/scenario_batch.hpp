@@ -107,7 +107,7 @@ std::vector<ContentionCellResult> run_contention_grid(
 void write_run_outcome(JsonWriter& w, const qoe::RunOutcome& outcome);
 
 /// The BENCH_<name>.json payload as a string — what write_sweep_json
-/// writes. Exposed so byte-identity checks (warm-start vs cold sweeps)
+/// writes. Exposed so byte-identity checks (threaded vs serial sweeps)
 /// can compare payloads without touching the filesystem.
 std::string sweep_json(std::string_view bench_name, const std::vector<SweepCellResult>& cells,
                        int runs, int jobs_used, std::uint64_t base_seed);

@@ -1,17 +1,16 @@
-// Warm-start sweep grids: checkpoint the shared startup phase once, fork
-// the video phase per cell.
+// Sweep grids in (pressure state, run) groups.
 //
 // A sweep cell's simulation splits into a *world* phase (boot + pressure
-// induction — identical for every (fps, height) cell of a pressure state)
-// and a *video* phase (the part that varies). The cold path re-simulates
-// the world for every cell; the warm path prepares it once per
-// (state, run) group and forks a child process per cell, so the copy-on-
-// write image carries the full world state — including the engine's
-// closure-holding event queue, which no serializer could (DESIGN.md §10).
+// induction) and a *video* phase (the part that varies per (fps, height)
+// cell). Every cell of a (state, run) group boots its world from one
+// group stream and plays its video from its own cell stream, so a cell's
+// outcome is a pure function of (proto, state, run, fps, height, seed):
+// the same bytes as running cold_cell_spec from boot.
 //
-// Both modes use the same seed scheme (one world stream per group, one
-// video stream per cell), so Warm must reproduce Cold byte-for-byte —
-// the warm-vs-cold identity test and bench assert exactly that.
+// A group runs its cells in-process with trace recording off — no sweep
+// reader looks at the trace, and recording it cost more host time than
+// any other single function. The group is the unit of work the sweep and
+// compare campaigns hand to their lanes (src/campaign/grid_campaign).
 #pragma once
 
 #include <cstdint>
@@ -25,10 +24,9 @@
 
 namespace mvqoe::runner {
 
-/// One (cell, run) outcome crossing a fork pipe (or, in cold mode,
-/// produced in-process): ok flag + the exact RunOutcome bit patterns, so
-/// warm and cold reductions see identical doubles. The campaign workers
-/// (src/campaign) ship the same encoding in their shard payloads.
+/// One (cell, run) outcome: ok flag + the exact RunOutcome bit patterns,
+/// so every lane's reduction sees identical doubles. The campaign
+/// workers (src/campaign) ship this encoding in their shard payloads.
 struct CellRunOutcome {
   bool ok = false;
   qoe::RunOutcome outcome;
@@ -45,12 +43,6 @@ std::uint64_t sweep_group_seed(std::uint64_t base, mem::PressureLevel state, int
 /// Video stream for one cell within a group.
 std::uint64_t sweep_video_seed(std::uint64_t group_seed, int height, int fps) noexcept;
 
-enum class SweepMode {
-  Cold,  // every (cell, run) simulated from boot on the thread pool
-  Warm,  // one prepared world per (state, run) group, cells forked from it;
-         // degrades to Cold (same results) when !fork_supported()
-};
-
 /// The empty state-major grid run_sweep_grid_shared and the sweep and
 /// compare campaigns fill: one cell per (state, fps, height), cell_seed
 /// the run-0 video seed.
@@ -59,12 +51,19 @@ std::vector<SweepCellResult> empty_sweep_grid(const std::vector<mem::PressureLev
                                               const std::vector<int>& heights,
                                               std::uint64_t base_seed);
 
-/// Prepare the (state, run) group's shared world once and run every
-/// (fps, height) cell's video phase from it — each cell in a forked
-/// copy-on-write child, `workers` at a time. Outcomes come back in
-/// fps-major cell order (the grid layout of run_sweep_grid_shared).
-/// Degrades to per-cell cold runs (same seeds, same outcomes) when the
-/// platform has no fork. This is the unit of work a campaign worker
+/// One cell's whole-world spec: `proto` retargeted to (state, height,
+/// fps) on the group's world stream and the cell's video stream.
+/// run_scenario on it gives the cell's run_warm_group outcome.
+scenario::ScenarioSpec cold_cell_spec(const scenario::ScenarioSpec& proto,
+                                      mem::PressureLevel state, int height, int fps,
+                                      std::uint64_t group_seed);
+
+/// Run every (fps, height) cell of the (state, run) group in-process,
+/// `workers` cells at a time on runner::run_batch threads (1 = serial),
+/// with trace recording off. Each cell prepares the group's world, then
+/// plays its own video phase. Outcomes come back in fps-major cell order
+/// (the grid layout of run_sweep_grid_shared); a cell that throws comes
+/// back as an error outcome. This is the unit of work a campaign worker
 /// executes per sweep shard (src/campaign/sweep_campaign).
 std::vector<CellRunOutcome> run_warm_group(const scenario::ScenarioSpec& proto,
                                            mem::PressureLevel state, int run,
@@ -72,14 +71,15 @@ std::vector<CellRunOutcome> run_warm_group(const scenario::ScenarioSpec& proto,
                                            const std::vector<int>& heights,
                                            std::uint64_t base_seed, int workers);
 
-/// Shared-world sweep grid. Layout and reduction match
-/// run_scenario_sweep_grid (cells in state-major grid order, runs per
-/// cell in run order); only the seed scheme differs — cell_seed reports
-/// the run-0 video seed. `proto` is a ScenarioSpec whose first video
-/// workload each cell retargets.
+/// Group-seeded sweep grid: one run_warm_group per (state, run) group,
+/// `jobs` groups at a time on runner::run_batch threads. Layout and
+/// reduction match run_scenario_sweep_grid (cells in state-major grid
+/// order, runs per cell in run order); only the seed scheme differs —
+/// cell_seed reports the run-0 video seed. `proto` is a ScenarioSpec
+/// whose first video workload each cell retargets.
 std::vector<SweepCellResult> run_sweep_grid_shared(
     const scenario::ScenarioSpec& proto, const std::vector<mem::PressureLevel>& states,
     const std::vector<int>& fps, const std::vector<int>& heights, int runs, int jobs,
-    std::uint64_t base_seed, SweepMode mode);
+    std::uint64_t base_seed);
 
 }  // namespace mvqoe::runner

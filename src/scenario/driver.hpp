@@ -49,15 +49,15 @@ class ScenarioDriver {
   /// prepare + start + advance to completion + finalize.
   ScenarioResult run();
 
-  // --- Phased execution (checkpoint/replay + warm-start surface) ---------
+  // --- Phased execution (checkpoint/replay + sweep-cell surface) --------
   /// Phase 1: boot the testbed and attach every workload in order —
   /// pressure workloads establish their regime here (§4.1). Ends at the
-  /// quiescent point right before sessions are built — the warm-start
-  /// fork boundary.
+  /// quiescent point right before sessions are built — where a sweep
+  /// cell retargets its video workload.
   void prepare();
-  /// Retarget video workload 0 between prepare() and start(): the warm
-  /// path forks one prepared world for many (height, fps) cells, each
-  /// with its own video seed.
+  /// Retarget video workload 0 between prepare() and start(): every
+  /// (height, fps) cell of a sweep group prepares the group's world,
+  /// then plays its own cell with its own video seed.
   void set_cell(int height, int fps, std::uint64_t video_seed);
   /// Phase 2: arm faults/watchdog and start every session at one
   /// simulated instant. Playback deadlines begin here.

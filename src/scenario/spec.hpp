@@ -3,8 +3,8 @@
 // A ScenarioSpec is the single source of truth for one simulated device
 // world: the device (named paper family or explicit profile), the
 // pressure regime, the world/seed scheme, and an ordered list of
-// WorkloadSpecs — each one actor on the device. Benches, the warm-start
-// sweep, tools/mvqoe_replay and the MVQS blob all consume this one type
+// WorkloadSpecs — each one actor on the device. Benches, the sweep
+// groups, tools/mvqoe_replay and the MVQS blob all consume this one type
 // instead of re-assembling (family, cell, state, seed) tuples by hand.
 //
 // A single video run is a ScenarioSpec with one VideoWorkloadSpec
@@ -102,8 +102,8 @@ struct ScenarioSpec {
   /// World stream seed (boot + pressure). Also the video stream of
   /// single_video() scenarios.
   std::uint64_t seed = 1;
-  /// Override the world stream when it must differ from `seed` (the
-  /// warm-start sweep's shared-world groups).
+  /// Override the world stream when it must differ from `seed` (a sweep
+  /// group's cells share one world stream).
   std::optional<std::uint64_t> world_seed;
   bool run_watchdog = false;
   /// Memory reclaim/kill policy the world runs (mem/policy.hpp). The

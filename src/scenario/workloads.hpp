@@ -37,7 +37,7 @@ class VideoSessionWorkload final : public core::Workload {
   void finalize(core::Testbed& testbed) override;
   mem::PressureLevel observed_level() const override { return mem::PressureLevel::Normal; }
 
-  /// Retarget the video cell before start() (warm-start sweeps).
+  /// Retarget the video cell before start() (sweep groups).
   void set_cell(int height, int fps, std::uint64_t video_seed);
 
   /// Assemble the per-session result; valid after finalize().

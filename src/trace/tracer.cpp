@@ -49,7 +49,8 @@ const ThreadMeta* Tracer::thread(ThreadId tid) const noexcept {
   return it == threads_.end() ? nullptr : &it->second;
 }
 
-void Tracer::state_change(ThreadId tid, sim::Time at, ThreadState next, ThreadId preemptor) {
+void Tracer::record_state_change(ThreadId tid, sim::Time at, ThreadState next,
+                                 ThreadId preemptor) {
   if (tid >= open_.size()) open_.resize(static_cast<std::size_t>(tid) + 1);
   OpenInterval& open = open_[tid];
   if (!open.seen) {
@@ -65,17 +66,7 @@ void Tracer::state_change(ThreadId tid, sim::Time at, ThreadState next, ThreadId
   open.open = next != ThreadState::Terminated;
 }
 
-void Tracer::preemption(const PreemptionRecord& rec) { preemptions_.push_back(rec); }
-
-void Tracer::instant(InstantKind kind, sim::Time at, ThreadId tid, std::int64_t value) {
-  instants_.push_back(InstantEvent{kind, at, tid, value});
-}
-
-void Tracer::counter(const std::string& name, sim::Time at, double value) {
-  counters_.push_back(CounterSample{name, at, value});
-}
-
-void Tracer::finalize(sim::Time at) {
+void Tracer::close_open_intervals(sim::Time at) {
   for (const ThreadId tid : seen_order_) {
     OpenInterval& open = open_[tid];
     if (open.open && at > open.begin) {

@@ -112,22 +112,40 @@ struct CounterSample {
 
 class Tracer {
  public:
+  /// Recording switch, on by default. The code that owns a run turns it
+  /// off before prepare() when nothing will read the trace (sweep and
+  /// compare groups): the event methods below then return before
+  /// touching any buffer. Thread registrations are still kept. No
+  /// simulation state reads the trace, so outcomes are the same bytes
+  /// either way.
+  void set_recording(bool on) noexcept { recording_ = on; }
+
   void register_thread(const ThreadMeta& meta);
   const ThreadMeta* thread(ThreadId tid) const noexcept;
 
   /// Close the thread's current state interval at `at` and open a new one.
   /// `preemptor` is meaningful only for RunnablePreempted.
   void state_change(ThreadId tid, sim::Time at, ThreadState next,
-                    ThreadId preemptor = kNoThread);
+                    ThreadId preemptor = kNoThread) {
+    if (recording_) record_state_change(tid, at, next, preemptor);
+  }
 
-  void preemption(const PreemptionRecord& rec);
+  void preemption(const PreemptionRecord& rec) {
+    if (recording_) preemptions_.push_back(rec);
+  }
   void instant(InstantKind kind, sim::Time at, ThreadId tid = kNoThread,
-               std::int64_t value = 0);
-  void counter(const std::string& name, sim::Time at, double value);
+               std::int64_t value = 0) {
+    if (recording_) instants_.push_back(InstantEvent{kind, at, tid, value});
+  }
+  void counter(const std::string& name, sim::Time at, double value) {
+    if (recording_) counters_.push_back(CounterSample{name, at, value});
+  }
 
   /// Close all open intervals at `at` (call once at end of run before
   /// analysis; idempotent for already-terminated threads).
-  void finalize(sim::Time at);
+  void finalize(sim::Time at) {
+    if (recording_) close_open_intervals(at);
+  }
 
   const std::vector<StateInterval>& intervals() const noexcept { return intervals_; }
   const std::vector<PreemptionRecord>& preemptions() const noexcept { return preemptions_; }
@@ -140,6 +158,9 @@ class Tracer {
   void clear_events();
 
  private:
+  void record_state_change(ThreadId tid, sim::Time at, ThreadState next, ThreadId preemptor);
+  void close_open_intervals(sim::Time at);
+
   struct OpenInterval {
     sim::Time begin = 0;
     ThreadState state = ThreadState::Created;
@@ -148,6 +169,7 @@ class Tracer {
     bool seen = false;  // tid is in seen_order_
   };
 
+  bool recording_ = true;
   std::unordered_map<ThreadId, ThreadMeta> threads_;
   /// Dense per-tid open-interval table (scheduler tids are dense from 1;
   /// a gap only costs unused slots).

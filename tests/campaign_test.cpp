@@ -2,13 +2,16 @@
 // threads and supervised processes agree on payloads and digest),
 // coordinator supervision (crash retry, heartbeat kill, retry-budget
 // degradation), kill-and-resume checkpoint determinism, checkpoint/config
-// round-trips and corruption rejection, atomic file replacement, and
-// sweep-campaign parity with the in-process grid.
+// round-trips and corruption rejection, atomic file replacement,
+// sweep-campaign parity with the in-process grid, and checkpoint bytes
+// that do not depend on the worker count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,7 +20,6 @@
 #include "campaign/fuzz_campaign.hpp"
 #include "campaign/sweep_campaign.hpp"
 #include "check/harness.hpp"
-#include "runner/ipc.hpp"
 #include "snapshot/atomic_file.hpp"
 #include "snapshot/blob.hpp"
 #include "snapshot/digest.hpp"
@@ -641,10 +643,18 @@ TEST(SweepCampaign, RejectsDegenerateGrids) {
                  std::invalid_argument)
         << "case " << i;
   }
-  // Warm groups fork(): the grid refuses the in-process thread lane.
+  // Groups run in-process, so the thread lane is a valid lane: its grid
+  // and digest are the serial ones.
   auto threads = campaign::CampaignOptions{};
   threads.jobs = 2;
-  EXPECT_THROW(campaign::run_sweep_campaign(small_sweep(), threads), std::invalid_argument);
+  const auto spec = small_sweep();
+  const auto serial = campaign::run_sweep_campaign(spec, campaign::CampaignOptions{});
+  const auto threaded = campaign::run_sweep_campaign(spec, threads);
+  ASSERT_TRUE(serial.campaign.complete);
+  ASSERT_TRUE(threaded.campaign.complete);
+  EXPECT_EQ(threaded.campaign.digest, serial.campaign.digest);
+  EXPECT_EQ(runner::sweep_json("jobs", threaded.cells, spec.runs, 1, spec.seed),
+            runner::sweep_json("jobs", serial.cells, spec.runs, 1, spec.seed));
 }
 
 TEST(SweepCampaign, MatchesInProcessGridByteForByte) {
@@ -655,9 +665,8 @@ TEST(SweepCampaign, MatchesInProcessGridByteForByte) {
   scenario::VideoWorkloadSpec session;
   session.duration_s = spec.duration_s;
   proto.workloads.emplace_back(std::move(session));
-  const auto reference = runner::run_sweep_grid_shared(
-      proto, spec.states, spec.fps, spec.heights, spec.runs, 1, spec.seed,
-      runner::SweepMode::Cold);
+  const auto reference = runner::run_sweep_grid_shared(proto, spec.states, spec.fps,
+                                                       spec.heights, spec.runs, 2, spec.seed);
 
   auto copts = fast_options();
   copts.shard_size = 1;
@@ -691,5 +700,39 @@ TEST(SweepCampaign, ResumeKeepsDigest) {
   EXPECT_EQ(resumed.campaign.units_from_checkpoint, campaign::sweep_total_units(spec));
   EXPECT_EQ(resumed.campaign.digest, first.campaign.digest);
 }
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+#if MVQOE_TEST_FORK
+TEST(SweepCampaign, CheckpointBytesDoNotDependOnProcs) {
+  // Unit 0's first attempt crashes, so its shard completes after later
+  // shards at any worker count; the history must still be in unit order.
+  const auto spec = small_sweep();
+  std::vector<std::string> checkpoints;
+  for (const int procs : {1, 3}) {
+    ScratchFile state("sweepprocs" + std::to_string(procs));
+    auto copts = fast_options();
+    copts.procs = procs;
+    copts.shard_size = 1;
+    copts.state_path = state.path();
+    copts.hooks.abort_unit = 0;
+    copts.hooks.abort_attempts = 1;
+    const auto result = campaign::run_sweep_campaign(spec, copts);
+    ASSERT_TRUE(result.campaign.complete) << "procs " << procs;
+    ASSERT_EQ(result.campaign.shards.size(), campaign::sweep_total_units(spec));
+    for (std::size_t i = 0; i < result.campaign.shards.size(); ++i) {
+      EXPECT_EQ(result.campaign.shards[i].first_unit, i) << "procs " << procs;
+    }
+    EXPECT_EQ(result.campaign.shards.front().attempts, 2);
+    checkpoints.push_back(file_bytes(state.path()));
+    ASSERT_FALSE(checkpoints.back().empty());
+  }
+  EXPECT_TRUE(checkpoints[0] == checkpoints[1])
+      << "the --procs 1 and --procs 3 checkpoints differ";
+}
+#endif  // MVQOE_TEST_FORK
 
 }  // namespace

@@ -15,7 +15,10 @@
 #include "check/harness.hpp"
 #include "check/oracles.hpp"
 #include "check/shrink.hpp"
+#include "runner/warm_sweep.hpp"
+#include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
+#include "snapshot/bytes.hpp"
 
 namespace mvqoe {
 namespace {
@@ -647,6 +650,57 @@ TEST(Fuzz, SeededPerturbationIsCaughtAndAttributed) {
   ASSERT_EQ(summary.failures.size(), 1u);
   EXPECT_EQ(summary.failures.front().run, 2);
   EXPECT_EQ(summary.failures.front().violation.oracle, "meta-determinism");
+}
+
+// ---------- Trace recording switch -------------------------------------------
+
+struct TracedRun {
+  std::uint64_t digest = 0;
+  std::string outcomes;  // every session's encode_cell_outcome bytes
+  std::size_t intervals = 0;
+  std::size_t instants = 0;
+  std::size_t preemptions = 0;
+  std::size_t counters = 0;
+};
+
+TracedRun run_traced(const scenario::ScenarioSpec& spec, bool recording) {
+  scenario::ScenarioDriver driver(spec);
+  driver.testbed().tracer.set_recording(recording);
+  const scenario::ScenarioResult result = driver.run();
+  TracedRun out;
+  out.digest = driver.state_digest();
+  snapshot::ByteWriter w;
+  for (const scenario::SessionReport& session : result.sessions) {
+    runner::encode_cell_outcome(w, runner::CellRunOutcome{true, session.result.outcome, {}});
+  }
+  out.outcomes = std::move(w).take();
+  const trace::Tracer& tracer = driver.testbed().tracer;
+  out.intervals = tracer.intervals().size();
+  out.instants = tracer.instants().size();
+  out.preemptions = tracer.preemptions().size();
+  out.counters = tracer.counters().size();
+  return out;
+}
+
+TEST(Tracer, RecordingOffKeepsOutcomes) {
+  const std::vector<scenario::ScenarioSpec> worlds = {
+      scenario::single_video("fig16", 480, 30, 8, mem::PressureLevel::Low, 11),
+      check::generate_scenario(3)};
+  for (std::size_t i = 0; i < worlds.size(); ++i) {
+    const TracedRun on = run_traced(worlds[i], true);
+    const TracedRun off = run_traced(worlds[i], false);
+    EXPECT_EQ(off.digest, on.digest) << "world " << i;
+    EXPECT_EQ(off.outcomes, on.outcomes) << "world " << i;
+    // The recording run saw events, so the empty buffers below mean the
+    // switch held them back.
+    EXPECT_GT(on.intervals, 0u) << "world " << i;
+    EXPECT_GT(on.instants, 0u) << "world " << i;
+    EXPECT_GT(on.counters, 0u) << "world " << i;
+    EXPECT_EQ(off.intervals, 0u) << "world " << i;
+    EXPECT_EQ(off.instants, 0u) << "world " << i;
+    EXPECT_EQ(off.preemptions, 0u) << "world " << i;
+    EXPECT_EQ(off.counters, 0u) << "world " << i;
+  }
 }
 
 }  // namespace

@@ -1,14 +1,15 @@
 // Snapshot subsystem tests: blob container round-trips, the
 // checkpoint/restore round-trip invariant across every scenario family,
 // golden-trace regression against a committed blob, divergence
-// bisection, and warm-start sweep byte-identity.
+// bisection, and sweep-group byte-identity with per-cell cold runs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
-#include "runner/ipc.hpp"
 #include "runner/warm_sweep.hpp"
+#include "scenario/driver.hpp"
 #include "scenario/spec.hpp"
 #include "snapshot/blob.hpp"
 #include "snapshot/digest.hpp"
@@ -182,32 +183,47 @@ TEST(Replay, GoldenBlobReplaysDigestIdentical) {
                          << " — simulation behavior drifted from the committed golden trace";
 }
 
-TEST(WarmSweep, ForkedWarmMatchesColdByteForByte) {
-  if (!runner::fork_supported()) GTEST_SKIP() << "no fork on this platform";
+std::string encode_outcomes(const std::vector<runner::CellRunOutcome>& outcomes) {
+  ByteWriter w;
+  for (const runner::CellRunOutcome& outcome : outcomes) runner::encode_cell_outcome(w, outcome);
+  return std::move(w).take();
+}
+
+TEST(WarmSweep, GroupMatchesPerCellColdRunsAtAnyWorkerCount) {
   scenario::ScenarioSpec proto;
   proto.family.clear();
   proto.device_override = core::nokia1();
   scenario::VideoWorkloadSpec video;
   video.duration_s = 8;
   proto.workloads.emplace_back(std::move(video));
-  const std::vector<mem::PressureLevel> states = {mem::PressureLevel::Moderate};
-  const std::vector<int> fps = {30};
+  const auto state = mem::PressureLevel::Moderate;
+  const std::vector<int> fps = {30, 60};
   const std::vector<int> heights = {360, 480};
-  const int runs = 2;
+  const std::uint64_t base_seed = 99;
+  const int run = 1;
 
-  const auto cold =
-      runner::run_sweep_grid_shared(proto, states, fps, heights, runs, 1, 99,
-                                    runner::SweepMode::Cold);
-  const auto warm =
-      runner::run_sweep_grid_shared(proto, states, fps, heights, runs, 1, 99,
-                                    runner::SweepMode::Warm);
-  ASSERT_EQ(cold.size(), warm.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(cold[i].failures, 0u);
-    EXPECT_EQ(warm[i].failures, 0u);
+  // The reference: every cell from boot through run_scenario, fps-major.
+  const std::uint64_t group_seed = runner::sweep_group_seed(base_seed, state, run);
+  std::vector<runner::CellRunOutcome> cold;
+  for (const int f : fps) {
+    for (const int h : heights) {
+      runner::CellRunOutcome cell;
+      cell.outcome = scenario::run_scenario(runner::cold_cell_spec(proto, state, h, f, group_seed))
+                         .sessions.at(0)
+                         .result.outcome;
+      cell.ok = true;
+      cold.push_back(cell);
+    }
   }
-  EXPECT_EQ(runner::sweep_json("identity", cold, runs, 1, 99),
-            runner::sweep_json("identity", warm, runs, 1, 99));
+  for (const int workers : {1, 3}) {
+    const auto group =
+        runner::run_warm_group(proto, state, run, fps, heights, base_seed, workers);
+    ASSERT_EQ(group.size(), cold.size()) << "workers " << workers;
+    for (const runner::CellRunOutcome& cell : group) EXPECT_TRUE(cell.ok) << cell.error;
+    EXPECT_EQ(encode_outcomes(group), encode_outcomes(cold)) << "workers " << workers;
+  }
+  // The cells differ from each other, so the comparison sees the layout.
+  EXPECT_NE(encode_outcomes({cold.front()}), encode_outcomes({cold.back()}));
 }
 
 TEST(WarmSweep, SeedSchemeIsCollisionFreeAcrossCoordinates) {

@@ -4,24 +4,23 @@
 //                        [--states s1,s2,...] [--fps n1,n2,...]
 //                        [--heights h1,h2,...] [--runs N] [--seed N]
 //                        [--policy NAME] [--cc NAME]
-//                        [--procs N] [--group-workers N] [--state FILE]
+//                        [--jobs N] [--procs N] [--state FILE]
 //                        [--shard-size N] [--retries N] [--heartbeat-ms N]
 //                        [--out NAME] [--progress]
-//       Run a warm-start sweep grid (states x fps x heights, `runs`
-//       repetitions per cell) through campaign::run_campaign (DESIGN.md
-//       §13). One campaign unit is one (state, run) group: it prepares
-//       the group's shared boot+pressure world once and forks each
-//       (fps, height) cell's video phase from it — the CoW warm-start
-//       machinery of runner/warm_sweep. Groups run serially in-process
-//       by default; --procs N (or --state) runs them in N supervised
-//       worker processes instead, where crashed or hung workers are
-//       SIGKILLed and retried with exponential backoff and, with
-//       --state, every completed group is checkpointed atomically.
+//       Run a sweep grid (states x fps x heights, `runs` repetitions per
+//       cell) through campaign::run_campaign (DESIGN.md §13). One
+//       campaign unit is one (state, run) group (runner::run_warm_group):
+//       its (fps, height) cells each boot the group's world and play
+//       their own video phase. Groups run in-process, serially by
+//       default or on --jobs N threads; --procs N (or --state) runs them
+//       in N supervised worker processes instead, where crashed or hung
+//       workers are SIGKILLed and retried with exponential backoff and,
+//       with --state, every completed group is checkpointed atomically.
 //       --out writes the grid as BENCH_<NAME>.json (the same payload
 //       runner::write_sweep_json produces, byte-identical across
-//       serial, --procs and kill-and-resume).
+//       serial, --jobs, --procs and kill-and-resume).
 //
-//   mvqoe_campaign sweep --resume FILE [--procs N] [--group-workers N]
+//   mvqoe_campaign sweep --resume FILE [--jobs N] [--procs N]
 //       Resume a killed campaign: the grid is reconstructed from the
 //       checkpoint (a checkpoint recorded under a different grid is
 //       refused), only the missing groups run, and the digest and BENCH
@@ -47,11 +46,11 @@ int usage() {
                "usage: mvqoe_campaign sweep [--family F] [--duration S] [--organic N]\n"
                "                            [--states s1,s2,...] [--fps n1,n2,...]\n"
                "                            [--heights h1,h2,...] [--runs N] [--seed N]\n"
-               "                            [--policy NAME] [--cc NAME] [--procs N]\n"
-               "                            [--group-workers N]\n"
-               "                            [--state FILE] [--shard-size N] [--retries N]\n"
-               "                            [--heartbeat-ms N] [--out NAME] [--progress]\n"
-               "       mvqoe_campaign sweep --resume FILE [--procs N] [--group-workers N]\n"
+               "                            [--policy NAME] [--cc NAME] [--jobs N]\n"
+               "                            [--procs N] [--state FILE] [--shard-size N]\n"
+               "                            [--retries N] [--heartbeat-ms N] [--out NAME]\n"
+               "                            [--progress]\n"
+               "       mvqoe_campaign sweep --resume FILE [--jobs N] [--procs N]\n"
                "states: normal moderate low critical\n"
                "--progress paints a done/total + units/sec + ETA line on stderr\n");
   return 2;
@@ -91,9 +90,7 @@ Args parse_args(int argc, char** argv) {
 int cmd_sweep(const Args& args) {
   campaign::SweepCampaignSpec spec = args.spec;
   if (!args.resume_path.empty()) {
-    const int group_workers = spec.group_workers;
     spec = campaign::load_sweep_resume_config(args.resume_path);
-    spec.group_workers = group_workers;
     std::printf("resume: %s (family=%s %zu states x %zu fps x %zu heights, %d run(s))\n",
                 args.resume_path.c_str(), spec.family.c_str(), spec.states.size(),
                 spec.fps.size(), spec.heights.size(), spec.runs);
@@ -114,8 +111,8 @@ int cmd_sweep(const Args& args) {
               static_cast<unsigned long long>(run.digest));
   if (!args.out_name.empty()) {
     // The grid JSON is a result artifact: byte-identical across serial,
-    // --procs and kill-and-resume, so it records the canonical serial
-    // form rather than this run's procs_used.
+    // --jobs, --procs and kill-and-resume, so it records the canonical
+    // serial form rather than this run's parallelism.
     const std::string path = runner::write_sweep_json(args.out_name, result.cells, spec.runs,
                                                       /*jobs_used=*/1, spec.seed);
     if (path.empty()) {

@@ -93,8 +93,6 @@ Args parse_args(int argc, char** argv) {
       args.spec.warmup_s = scan.integer();
     } else if (scan.is("--shard-size")) {
       args.spec.shard_size = scan.u64();
-    } else if (scan.is("--jobs")) {
-      args.flags.options.jobs = scan.integer(1);
     } else if (scan.is("--save")) {
       args.save_path = scan.text();
     } else if (scan.is("--report")) {

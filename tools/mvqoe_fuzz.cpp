@@ -108,8 +108,6 @@ Args parse_args(int argc, char** argv) {
       args.seed = scan.u64();
     } else if (scan.is("--runs")) {
       args.runs = scan.integer(1);
-    } else if (scan.is("--jobs")) {
-      args.flags.options.jobs = scan.integer(0);
     } else if (scan.is("--minutes")) {
       args.minutes = scan.integer();
     } else if (scan.is("--out")) {

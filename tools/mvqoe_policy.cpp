@@ -3,22 +3,22 @@
 //   mvqoe_policy compare [--policies p1,p2,...] [--family F] [--duration S]
 //                        [--organic N] [--states s1,s2,...] [--fps n1,n2,...]
 //                        [--heights h1,h2,...] [--runs N] [--seed N]
-//                        [--procs N] [--group-workers N] [--state FILE]
+//                        [--jobs N] [--procs N] [--state FILE]
 //                        [--shard-size N] [--retries N] [--heartbeat-ms N]
 //                        [--out NAME] [--progress]
-//       Run the SAME warm-start sweep grid once per memory policy
+//       Run the SAME sweep grid once per memory policy
 //       (DESIGN.md §16): every policy lane boots identically-seeded
 //       device worlds (the sweep_group_seed scheme is policy-blind) and
 //       differs only in how its reclaim/kill policy responds, so the
 //       per-lane QoE deltas are attributable to the policy alone. Runs
 //       through campaign::run_campaign, one unit per (policy, state,
-//       run) warm-sweep group: serially in-process by default, or in
-//       --procs N supervised worker processes (checkpointed with
-//       --state). The summary digest is invariant to
-//       --procs/--group-workers and to kill-and-resume.
+//       run) sweep group: in-process (serially by default, or on --jobs
+//       N threads), or in --procs N supervised worker processes
+//       (checkpointed with --state). The summary digest is invariant to
+//       --jobs/--procs and to kill-and-resume.
 //       --out writes one BENCH_<NAME>_<policy>.json grid per lane.
 //
-//   mvqoe_policy compare --resume FILE [--procs N] [--group-workers N]
+//   mvqoe_policy compare --resume FILE [--jobs N] [--procs N]
 //       Resume a killed compare from its checkpoint (a checkpoint
 //       recorded under a different grid or policy list is refused); the
 //       digest and lane output are byte-identical to an uninterrupted
@@ -49,10 +49,10 @@ int usage() {
                "                            [--duration S] [--organic N]\n"
                "                            [--states s1,s2,...] [--fps n1,n2,...]\n"
                "                            [--heights h1,h2,...] [--runs N] [--seed N]\n"
-               "                            [--procs N] [--group-workers N] [--state FILE]\n"
+               "                            [--jobs N] [--procs N] [--state FILE]\n"
                "                            [--shard-size N] [--retries N]\n"
                "                            [--heartbeat-ms N] [--out NAME] [--progress]\n"
-               "       mvqoe_policy compare --resume FILE [--procs N] [--group-workers N]\n"
+               "       mvqoe_policy compare --resume FILE [--jobs N] [--procs N]\n"
                "       mvqoe_policy list\n"
                "states: normal moderate low critical\n"
                "policies: baseline swam ariadne partitioned (default: all)\n");
@@ -125,9 +125,7 @@ void print_lane(const campaign::PolicyLane& lane,
 int cmd_compare(const Args& args) {
   campaign::PolicyCompareSpec spec = args.spec;
   if (!args.resume_path.empty()) {
-    const int group_workers = spec.base.group_workers;
     spec = campaign::load_policy_resume_config(args.resume_path);
-    spec.base.group_workers = group_workers;
     std::printf("resume: %s (family=%s %zu policies x %zu states, %d run(s))\n",
                 args.resume_path.c_str(), spec.base.family.c_str(), spec.policies.size(),
                 spec.base.states.size(), spec.base.runs);
